@@ -23,7 +23,7 @@ from .core import Received, Transmit
 from .errors import FreeComponentMissing, WitnessInconsistency
 from .prune import PruneResult, run_prune
 from .protocols import Protocol
-from .reductions import pi4_with_advice, to_pi1, to_pi2, to_pi3
+from .reductions import pi4_with_advice, transform_chain
 from .selfam import SetFamily, mask_to_indices
 
 
@@ -141,9 +141,7 @@ def analyze(p0: Protocol, r: int, params: C2Params) -> AdversaryOutcome:
     """
     if r < 1:
         raise ValueError("budget must be >= 1")
-    p1 = to_pi1(p0, params)
-    p2 = to_pi2(p1)
-    p3 = to_pi3(p2)
+    p3 = transform_chain(p0, params, 3)
     pr = run_prune(p3, r, params)
     if pr.free_component is None:
         # Every component is pinned: the descriptor pipeline has nothing

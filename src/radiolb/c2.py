@@ -104,7 +104,13 @@ def build_c2(params: C2Params, tv: TopologyVector) -> Network:
 
 
 def enumeration_cap() -> int:
-    return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    raw = os.environ.get(ENUM_CAP_ENV)
+    if raw is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def family_size(params: C2Params) -> int:

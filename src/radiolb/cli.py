@@ -19,7 +19,7 @@ from .c2 import C2Params, build_c2, decode_c2, encode_c2, enumerate_c2
 from .errors import RadioLBError
 from .prune import run_prune
 from .protocols import get_protocol
-from .reductions import make_advice, to_pi1, to_pi2, to_pi3, transform_chain
+from .reductions import advice_budget, make_advice, transform_chain
 from .selfam import (
     SetFamily,
     family_from_lines,
@@ -97,9 +97,8 @@ def _cmd_transform(args) -> int:
         "stage": args.stage,
     }
     if args.stage == 4:
-        budget = 1 if args.rounds < 2 else (args.rounds - 2) // 3 + 1
-        p3 = to_pi3(to_pi2(to_pi1(p0, params)))
-        report["advice"] = make_advice(p3, net, budget).encode()
+        p3 = transform_chain(p0, params, 3)
+        report["advice"] = make_advice(p3, net, advice_budget(args.rounds)).encode()
     _emit(report)
     return 0
 
@@ -107,7 +106,7 @@ def _cmd_transform(args) -> int:
 def _cmd_prune(args) -> int:
     params = C2Params(args.m, args.k)
     p0 = get_protocol(args.protocol, params)
-    p3 = to_pi3(to_pi2(to_pi1(p0, params)))
+    p3 = transform_chain(p0, params, 3)
     pr = run_prune(p3, args.rounds, params)
     _emit(
         {
@@ -236,6 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("simulate", "transform") and args.rounds < 0:
+        parser.error(f"--rounds must be >= 0, got {args.rounds}")
     if args.command == "selfam":
         if args.verb == "verify" and not args.family:
             parser.error("selfam verify requires --family")
@@ -248,7 +249,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (RadioLBError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument; print the text once
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -236,6 +236,10 @@ def run(
 ) -> Trace:
     """Run a protocol for max_rounds rounds and return the full trace.
 
+    Every node runs its own process (``protocols.spawn``): each round the
+    engine asks every node for its action, executes the round, then hands
+    every node its observation.
+
     Round 0 permits only the source to transmit; at any later round a node
     may transmit only if it is the source or has received at least one
     message. Violations raise; with ``collect_violations`` a list they are
@@ -251,26 +255,20 @@ def run(
         if proto.setup is not None:
             raise ValueError("setup returned an unbound protocol")
 
-    from .protocols import ProtocolContext  # local import: avoids a cycle
+    from .protocols import spawn  # local import: avoids a cycle
 
-    histories: dict[int, list[Observation]] = {x: [] for x in net.labels}
+    order = sorted(net.labels)
+    nodes = {x: spawn(proto, x, tuple(sorted(net.neighbors(x))), net.c2_params) for x in order}
+    heard: set[int] = set()  # nodes that have received at least one message
     informed: dict[int, int] = {SOURCE: 0}
     rounds: list[RoundRecord] = []
-    order = sorted(net.labels)
 
     for t in range(max_rounds):
         actions: dict[int, Action] = {}
         for x in order:
-            ctx = ProtocolContext(
-                own_label=x,
-                neighbor_labels=tuple(sorted(net.neighbors(x))),
-                round=t,
-                history=tuple(histories[x]),
-                params=net.c2_params,
-            )
-            act = proto.step(ctx)
+            act = nodes[x].act(t)
             if not isinstance(act, (Transmit, Listen, Inactive)):
-                raise TypeError(f"{proto.name}.step returned {act!r} for node {x}")
+                raise TypeError(f"{proto.name} returned {act!r} for node {x}")
             actions[x] = act
 
         for x in order:
@@ -278,7 +276,7 @@ def run(
                 continue
             if t == 0:
                 err = NonSourceRoundZero(x, 0)
-            elif not any(isinstance(o, Received) for o in histories[x]):
+            elif x not in heard:
                 err = SpontaneityViolation(x, t)
             else:
                 continue
@@ -290,13 +288,11 @@ def run(
         rec = step_round(net, actions, t)
         for x in order:
             obs = rec.deliveries[x]
-            histories[x].append(obs)
-            if (
-                x not in informed
-                and isinstance(obs, Received)
-                and is_payload(obs.message)
-            ):
-                informed[x] = t
+            nodes[x].observe(obs)
+            if isinstance(obs, Received):
+                heard.add(x)
+                if x not in informed and is_payload(obs.message):
+                    informed[x] = t
         rounds.append(rec)
 
     return Trace(net, rounds, informed)
@@ -307,9 +303,8 @@ def completion_round(trace: Trace) -> int | None:
 
     Returns None when some node is still uninformed at the end of the trace.
     """
-    if set(trace.informed) != trace.network.labels:
-        return None
-    return max(trace.informed.values()) + 1
+    last = last_informed_round(trace)
+    return None if last is None else last + 1
 
 
 def last_informed_round(trace: Trace) -> int | None:

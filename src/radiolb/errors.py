@@ -11,34 +11,33 @@ class UnknownLabel(RadioLBError):
     """A label was used that does not belong to the network."""
 
 
-class NonSourceRoundZero(RadioLBError):
+class LegalityViolation(RadioLBError):
+    """A node broke the transmission rules in one round; equal by kind, node and round."""
+
+    def __init__(self, message: str, label: int, round: int):
+        super().__init__(message)
+        self.label = label
+        self.round = round
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.label, self.round) == (other.label, other.round)
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.label, self.round))
+
+
+class NonSourceRoundZero(LegalityViolation):
     """A node other than the source attempted to transmit in round 0."""
 
     def __init__(self, label: int, round: int = 0):
-        super().__init__(f"node {label} transmitted in round 0 but is not the source")
-        self.label = label
-        self.round = round
-
-    def __eq__(self, other):
-        return type(other) is type(self) and (self.label, self.round) == (other.label, other.round)
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.label, self.round))
+        super().__init__(f"node {label} transmitted in round 0 but is not the source", label, round)
 
 
-class SpontaneityViolation(RadioLBError):
+class SpontaneityViolation(LegalityViolation):
     """A node transmitted before ever receiving a message (and is not the source)."""
 
     def __init__(self, label: int, round: int):
-        super().__init__(f"node {label} transmitted spontaneously in round {round}")
-        self.label = label
-        self.round = round
-
-    def __eq__(self, other):
-        return type(other) is type(self) and (self.label, self.round) == (other.label, other.round)
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.label, self.round))
+        super().__init__(f"node {label} transmitted spontaneously in round {round}", label, round)
 
 
 class InvalidTau(RadioLBError):

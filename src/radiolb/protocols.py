@@ -1,10 +1,14 @@
 """Deterministic protocol abstraction and the reference protocols.
 
-A protocol is a pure step function from a node's local view (own label,
-neighbor labels, round number, observation history) to an action. All nodes
-run identical copies; behavior may differ only through the local view.
-Family parameters (m, k) are public constants, so a node can derive its
-layer and component from its own label.
+A protocol runs as one node process per node: ``spawn(proto, own,
+neighbors, params)`` returns an object with ``act(round) -> Action`` and
+``observe(obs)``, which the engine calls once per round each, in that
+order. Protocols written as a pure step function from the local view (own
+label, neighbor labels, round number, observation history) to an action run
+through the ``HistoryNode`` adapter; staged protocols supply their own
+``node`` factory instead. All nodes run identical copies; behavior may
+differ only through the local view. Family parameters (m, k) are public
+constants, so a node can derive its layer and component from its own label.
 """
 
 from __future__ import annotations
@@ -52,19 +56,44 @@ class ProtocolContext:
 
 @dataclass(frozen=True)
 class Protocol:
-    """A named deterministic step function, optionally with per-network setup.
+    """A named deterministic protocol, optionally with per-network setup.
 
-    ``setup(net, max_rounds)`` returns a copy of the protocol specialized to
-    the network (privileged inputs such as full topology or an advice string
-    live there, never in the per-node context). The engine binds
-    automatically at the start of a run.
+    Either ``step`` is a pure function of the node's context, or ``node``
+    builds the node process directly (staged protocols, whose ``step`` is
+    None). ``setup(net, max_rounds)`` returns a copy of the protocol
+    specialized to the network (privileged inputs such as full topology or
+    an advice string live there, never in the per-node view). The engine
+    binds automatically at the start of a run.
     """
 
     name: str
-    step: Callable[[ProtocolContext], Action]
+    step: Callable[[ProtocolContext], Action] | None
     setup: Callable[[Network, int], "Protocol"] | None = None
     stage: StageTag = StageTag.PI0
     params: C2Params | None = None
+    node: Callable[[int, tuple[int, ...], C2Params | None], object] | None = None
+
+
+class HistoryNode:
+    """Runs a history step function as a node process."""
+
+    def __init__(self, step, own: int, neighbors: tuple[int, ...], params):
+        self.step, self.own, self.neighbors, self.params = step, own, neighbors, params
+        self.history: list[Observation] = []
+
+    def act(self, round: int) -> Action:
+        ctx = ProtocolContext(self.own, self.neighbors, round, tuple(self.history), self.params)
+        return self.step(ctx)
+
+    def observe(self, obs: Observation) -> None:
+        self.history.append(obs)
+
+
+def spawn(proto: Protocol, own: int, neighbors: tuple[int, ...], params):
+    """The process of node ``own`` running ``proto``."""
+    if proto.node is not None:
+        return proto.node(own, neighbors, params)
+    return HistoryNode(proto.step, own, neighbors, params)
 
 
 def has_received_payload(history) -> bool:

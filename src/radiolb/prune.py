@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from . import core
 from .c2 import C2Params, TopologyVector, build_c2, component_of, enumerate_c2, layer_of
 from .core import ComponentDesc, Network, Transmit
-from .errors import StageMismatch
 from .protocols import Protocol, StageTag
-from .reductions import AdviceString
+from .reductions import AdviceString, require_stage
 
 
 @dataclass(frozen=True)
@@ -56,30 +55,28 @@ class PruneResult:
     free_component: int | None
 
 
-def _require_pi3(p3: Protocol, op: str) -> None:
-    if p3.stage is not StageTag.PI3:
-        raise StageMismatch(f"{op} needs a pi3 protocol, got {p3.stage.value}")
-
-
-def _l1_transmitters(trace: core.Trace, round: int, params: C2Params) -> list[int]:
-    rec = trace.rounds[round]
-    return sorted(
-        x
-        for x, a in rec.actions.items()
-        if isinstance(a, Transmit) and layer_of(x, params) == 1
-    )
+def _decisive_transmitters(p3: Protocol, net: Network, r: int, params: C2Params,
+                           op: str) -> list[list[int]]:
+    """Sorted middle-layer transmitters of each round 3t-2, t = 1..r-1, from
+    a single stage-3 run on the network."""
+    require_stage(p3, StageTag.PI3, op)
+    if r <= 1:
+        return []
+    trace = core.run(net, p3, 3 * (r - 1) - 2 + 1)  # last inspected round is 3(r-1)-2
+    return [
+        sorted(
+            x
+            for x, a in trace.rounds[3 * t - 2].actions.items()
+            if isinstance(a, Transmit) and layer_of(x, params) == 1
+        )
+        for t in range(1, r)
+    ]
 
 
 def event_sequence(p3: Protocol, net: Network, r: int, params: C2Params) -> tuple[Event, ...]:
     """Events at t = 1..r-1 from a single stage-3 run on the network."""
-    _require_pi3(p3, "event_sequence")
-    if r <= 1:
-        return ()
-    horizon = 3 * (r - 1) - 2 + 1  # last inspected round is 3(r-1)-2
-    trace = core.run(net, p3, horizon)
     events: list[Event] = []
-    for t in range(1, r):
-        txs = _l1_transmitters(trace, 3 * t - 2, params)
+    for txs in _decisive_transmitters(p3, net, r, params, "event_sequence"):
         if not txs:
             events.append(SILENT)
         elif len(txs) >= 2:
@@ -107,7 +104,7 @@ def run_prune(p3: Protocol, r: int, params: C2Params) -> PruneResult:
     identical event; otherwise (all silent) keep everything. With r = 1 the
     whole family is returned untouched.
     """
-    _require_pi3(p3, "run_prune")
+    require_stage(p3, StageTag.PI3, "run_prune")
     if r < 1:
         raise ValueError("r must be >= 1")
     vectors = list(enumerate_c2(params))
@@ -144,19 +141,10 @@ def mark_components(p3: Protocol, base: Network, r: int) -> frozenset[int]:
     collision marks the components of the two transmitting nodes with the
     smallest labels (any fixed pair works, so take the canonical one).
     """
-    _require_pi3(p3, "mark_components")
     params = base.c2_params
-    if r <= 1:
-        return frozenset()
-    trace = core.run(base, p3, 3 * (r - 1) - 2 + 1)
     marked: set[int] = set()
-    for t in range(1, r):
-        txs = _l1_transmitters(trace, 3 * t - 2, params)
-        if len(txs) == 1:
-            marked.add(component_of(txs[0], params))
-        elif len(txs) >= 2:
-            marked.add(component_of(txs[0], params))
-            marked.add(component_of(txs[1], params))
+    for txs in _decisive_transmitters(p3, base, r, params, "mark_components"):
+        marked.update(component_of(x, params) for x in txs[:2])
     return frozenset(marked)
 
 

@@ -9,24 +9,27 @@ layers:
            in sub-rounds 0, 1, 2. Cross-layer collisions disappear.
   stage 2  the source stops computing: at round 3t it just retransmits
            whatever it received in round 3t-2 (or stays silent). Middle
-           nodes replay the stage-1 source locally from the echo stream.
+           nodes run a stage-1 replica of the source on the echo stream.
   stage 3  the source (given the full topology as a privileged input) sends
-           only component descriptors <i, tau>. Middle nodes rebuild the
-           echo stream by simulating the named component from scratch.
+           only component descriptors <i, tau>. Middle nodes rebuild each
+           echo by simulating the named component from scratch.
   stage 4  the source transmits the whole descriptor sequence once, as an
            advice string attached to the round-0 payload, then stays silent.
 
 Middle- and leaf-layer transmissions are identical, round for round, across
-all four stages; only the source's column of the trace changes. Internal
-replicas are re-derived from the node's own observations on every step, so
-steps stay pure functions of their context; lru caches only memoize those
-pure derivations.
+all four stages; only the source's column of the trace changes. Every
+staged node is a local simulation carried forward one observation at a
+time: a stage-1 node feeds its base self one collapsed observation per
+round triple, and a stage 2-4 middle node feeds its previous-stage self the
+source column it rebuilds from echoes, descriptors or advice. Leaves run
+their previous-stage selves unchanged. The one memo is each stage-3
+protocol's map from descriptor prefix to rebuilt echo, shared by all its
+runs and dropped with the protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import core
 from .c2 import C2Params, component_of, l1_label, l2_label, layer_of
@@ -35,20 +38,18 @@ from .core import (
     PAYLOAD,
     PHI,
     SOURCE,
-    Action,
     BroadcastPayload,
     ComponentDesc,
     Message,
     Network,
-    Observation,
     Received,
     Transmit,
 )
 from .errors import ProtocolBindingError, StageMismatch
-from .protocols import Protocol, ProtocolContext, StageTag
+from .protocols import Protocol, StageTag, spawn
 
 # A bare echo carries the message but not who originally sent it, so the
-# replayed source sees receptions under this pseudo-label. Exact for every
+# source replica sees receptions under this pseudo-label. Exact for every
 # source step that does not branch on sender identity.
 UNKNOWN_SENDER = -1
 
@@ -85,305 +86,277 @@ class AdviceString:
         return AdviceString(tuple(entries))
 
 
-def _require_stage(proto: Protocol, stage: StageTag, op: str) -> None:
+def require_stage(proto: Protocol, stage: StageTag, op: str) -> None:
     if proto.stage is not stage:
         raise StageMismatch(f"{op} needs a {stage.value} protocol, got {proto.stage.value}")
     if proto.params is None:
         raise StageMismatch(f"{op} needs a protocol carrying family parameters")
 
 
+def advice_budget(max_rounds: int) -> int:
+    """Base rounds whose advice a stage-4 run of max_rounds rounds uses."""
+    return 1 if max_rounds < 2 else (max_rounds - 2) // 3 + 1
+
+
 # ---------------------------------------------------------------------------
 # Stage 1: phase separation
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _replay_base(p0: Protocol, params: C2Params, own: int, neighbors: tuple[int, ...],
-                 window: tuple[Observation, ...], upto: int) -> Action:
-    """Base action at round ``upto`` reconstructed from tripled observations.
+class _Phased:
+    """Stage-1 node: acts only in its layer's sub-round, as its base self
+    would in the re-enacted base round. Per round triple the base self
+    observes phi if it transmitted; otherwise the unique reception across
+    the triple, with zero or two-plus receptions collapsing to phi, exactly
+    mirroring what a single base round would have delivered."""
 
-    ``window`` holds the node's (possibly synthesized) stage-1 observations
-    for rounds < 3*upto. Per re-enacted round s the node records phi if it
-    transmitted; otherwise the unique reception across rounds 3s..3s+2, with
-    zero or two-plus receptions collapsing to phi, exactly mirroring what a
-    single base round would have delivered.
-    """
-    sigma: list[Observation] = []
-    for s in range(upto):
-        act = p0.step(ProtocolContext(own, neighbors, s, tuple(sigma), params))
-        if isinstance(act, Transmit):
-            sigma.append(PHI)
-        else:
-            got = [
-                window[r]
-                for r in range(3 * s, min(3 * s + 3, len(window)))
-                if isinstance(window[r], Received)
-            ]
-            sigma.append(got[0] if len(got) == 1 else PHI)
-    return p0.step(ProtocolContext(own, neighbors, upto, tuple(sigma), params))
+    def __init__(self, base, layer: int):
+        self.base, self.layer = base, layer
+        self.action = None  # the base action of the current triple
+        self.got: list[Received] = []
+        self.rounds = 0
+
+    def act(self, round: int):
+        t, phase = divmod(round, 3)
+        if phase != self.layer:
+            return LISTEN
+        self.action = self.base.act(t)
+        return self.action if isinstance(self.action, Transmit) else LISTEN
+
+    def observe(self, obs) -> None:
+        if isinstance(obs, Received):
+            self.got.append(obs)
+        self.rounds += 1
+        if self.rounds % 3 == 0:
+            alone = len(self.got) == 1 and not isinstance(self.action, Transmit)
+            self.base.observe(self.got[0] if alone else PHI)
+            self.action, self.got = None, []
 
 
 def to_pi1(p0: Protocol, params: C2Params) -> Protocol:
     """Phase-separate a base protocol over round triples (stage 1)."""
 
-    @lru_cache(maxsize=None)
-    def step(ctx: ProtocolContext) -> Action:
-        lay = layer_of(ctx.own_label, params)
-        t, phase = divmod(ctx.round, 3)
-        if phase != lay:
+    def node(own, neighbors, _params):
+        return _Phased(spawn(p0, own, neighbors, params), layer_of(own, params))
+
+    return Protocol(f"pi1[{p0.name}]", None, stage=StageTag.PI1, params=params, node=node)
+
+
+# ---------------------------------------------------------------------------
+# Stages 2-4: the source's column, rebuilt by each middle node
+# ---------------------------------------------------------------------------
+
+class _Source:
+    """Stage 2-4 source: ``first`` in round 0; in each round 3s, s >= 1,
+    ``relay`` of what it received in round 3s-2 (if anything and if
+    ``relay`` is given); silence otherwise."""
+
+    def __init__(self, first, relay=None):
+        self.first, self.relay = first, relay
+        self.heard, self.rounds = PHI, 0
+
+    def act(self, round: int):
+        if round == 0:
+            return Transmit(self.first)
+        if round % 3 == 0 and self.relay is not None and isinstance(self.heard, Received):
+            return Transmit(self.relay(self.heard))
+        return LISTEN
+
+    def observe(self, obs) -> None:
+        if self.rounds % 3 == 1:
+            self.heard = obs
+        self.rounds += 1
+
+
+class _Middle:
+    """Stage 2-4 middle node around its previous-stage self. The self sees
+    the node's round-0 payload with any advice stripped, ``_from_source``
+    in each source round 3s (s >= 1), phi in sub-round 1 (no middle node
+    can hear another) and the real sub-round-2 observation (leaf traffic).
+    Observations are handed on at the node's next sub-round-1 act, where
+    all of a stage's checks belong."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.pending: list = []
+        self.rounds = 0
+
+    def act(self, round: int):
+        if round % 3 != 1:
             return LISTEN
-        act = _replay_base(
-            p0, params, ctx.own_label, ctx.neighbor_labels, ctx.history, t
-        )
-        return act if isinstance(act, Transmit) else LISTEN
+        self._check(round)
+        for obs in self.pending:
+            r, self.rounds = self.rounds, self.rounds + 1
+            if r == 0:
+                obs = _strip_advice(obs)
+            elif r % 3 == 0:
+                obs = self._from_source(r // 3, obs)
+            elif r % 3 == 1:
+                obs = PHI
+            self.inner.observe(obs)
+        self.pending.clear()
+        return self.inner.act(round)
 
-    return Protocol(f"pi1[{p0.name}]", step, stage=StageTag.PI1, params=params)
+    def observe(self, obs) -> None:
+        self.pending.append(obs)
 
-
-# ---------------------------------------------------------------------------
-# Stage 2: echoing source
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _pi1_source_actions(p1: Protocol, params: C2Params,
-                        source_obs: tuple[Observation, ...]) -> tuple[Action, ...]:
-    """Stage-1 source actions at rounds 3s, s = 1..len(source_obs).
-
-    ``source_obs[s-1]`` is what the source received in round 3(s-1)+1; its
-    observations in the other sub-rounds are necessarily phi (no neighbor of
-    the source may transmit there).
-    """
-    all_l1 = tuple(range(1, params.m * params.k + 1))
-    hist: list[Observation] = []
-    actions: list[Action] = []
-    for s in range(1, len(source_obs) + 1):
-        hist.append(PHI)
-        hist.append(source_obs[s - 1])
-        hist.append(PHI)
-        actions.append(
-            p1.step(ProtocolContext(SOURCE, all_l1, 3 * s, tuple(hist), params))
-        )
-    return tuple(actions)
+    def _check(self, round: int) -> None:
+        pass
 
 
-def _strip_advice(obs: Observation) -> Observation:
+def _strip_advice(obs):
     if isinstance(obs, Received) and isinstance(obs.message, BroadcastPayload):
         if obs.message.advice is not None:
             return Received(obs.sender, BroadcastPayload(obs.message.data, None))
     return obs
 
 
-def _synth_history(ctx: ProtocolContext, source_round_obs) -> tuple[Observation, ...]:
-    """A middle node's history with rounds 3s (s >= 1) replaced by
-    ``source_round_obs(s)``. Sub-round 1 observations are necessarily phi
-    for a middle node; sub-round 2 receptions (leaf neighbor) stay real, and
-    the round-0 payload is kept with any advice attachment stripped."""
-    synth: list[Observation] = []
-    for r in range(ctx.round):
-        if r == 0:
-            synth.append(_strip_advice(ctx.history[0]))
-        elif r % 3 == 0:
-            synth.append(source_round_obs(r // 3))
-        elif r % 3 == 1:
-            synth.append(PHI)
-        else:
-            synth.append(ctx.history[r])
-    return tuple(synth)
+def _staged(inner: Protocol, stage: StageTag, source, middle, setup=None) -> Protocol:
+    """A stage 2-4 protocol over ``inner``: ``source()`` builds the source's
+    node, ``middle(self)`` wraps a middle node's previous-stage self, and a
+    leaf is its previous-stage self."""
+    params = inner.params
+
+    def node(own, neighbors, _params):
+        lay = layer_of(own, params)
+        if lay == 0:
+            return source()
+        me = spawn(inner, own, neighbors, params)
+        return middle(me) if lay == 1 else me
+
+    return Protocol(f"{stage.value}[{inner.name}]", None, setup=setup, stage=stage,
+                    params=params, node=node)
+
+
+# ---------------------------------------------------------------------------
+# Stage 2: echoing source
+# ---------------------------------------------------------------------------
+
+class _EchoMiddle(_Middle):
+    """Replays the stage-1 source from the echo stream: in round 3s the
+    echo tells what the source received in round 3s-2; its other sub-rounds
+    are necessarily phi (no neighbor of the source transmits there)."""
+
+    def __init__(self, inner, source):
+        super().__init__(inner)
+        self.source = source
+        source.act(0)  # whether it transmits in round 0 decides how triple 0 collapses
+
+    def _from_source(self, s: int, obs):
+        echoed = Received(UNKNOWN_SENDER, obs.message) if isinstance(obs, Received) else PHI
+        for seen in (PHI, echoed, PHI):
+            self.source.observe(seen)
+        act = self.source.act(3 * s)
+        return Received(SOURCE, act.message) if isinstance(act, Transmit) else PHI
 
 
 def to_pi2(p1: Protocol) -> Protocol:
     """Make the source a pure repeater (stage 2)."""
-    _require_stage(p1, StageTag.PI1, "to_pi2")
+    require_stage(p1, StageTag.PI1, "to_pi2")
     params = p1.params
-
-    @lru_cache(maxsize=None)
-    def step(ctx: ProtocolContext) -> Action:
-        if ctx.own_label == SOURCE:
-            if ctx.round == 0:
-                return Transmit(BroadcastPayload(PAYLOAD))
-            if ctx.round % 3 == 0:
-                heard = ctx.history[ctx.round - 2]
-                if isinstance(heard, Received):
-                    return Transmit(heard.message)
-            return LISTEN
-        if layer_of(ctx.own_label, params) == 2:
-            return p1.step(ctx)
-        t, phase = divmod(ctx.round, 3)
-        if phase != 1:
-            return LISTEN
-        source_obs = []
-        for s in range(1, t + 1):
-            echoed = ctx.history[3 * s]
-            if isinstance(echoed, Received):
-                source_obs.append(Received(UNKNOWN_SENDER, echoed.message))
-            else:
-                source_obs.append(PHI)
-        src_actions = _pi1_source_actions(p1, params, tuple(source_obs))
-
-        def obs_at(s: int) -> Observation:
-            act = src_actions[s - 1]
-            return Received(SOURCE, act.message) if isinstance(act, Transmit) else PHI
-
-        synth = _synth_history(ctx, obs_at)
-        return p1.step(
-            ProtocolContext(ctx.own_label, ctx.neighbor_labels, ctx.round, synth, params)
-        )
-
-    return Protocol(f"pi2[{p1.name}]", step, stage=StageTag.PI2, params=params)
+    all_l1 = tuple(range(1, params.m * params.k + 1))
+    return _staged(
+        p1, StageTag.PI2,
+        lambda: _Source(BroadcastPayload(PAYLOAD), lambda heard: heard.message),
+        lambda me: _EchoMiddle(me, spawn(p1, SOURCE, all_l1, params)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Stage 3: topology descriptors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _sim_component(p2: Protocol, params: C2Params, comp: int, tau: int,
-                   echoes: tuple[Message | None, ...]) -> tuple[tuple[int, Message], ...]:
-    """Simulate one component against a scripted source and return its
-    middle-layer transmissions in the round right after the script ends.
+def _component_echo(p2: Protocol, params: C2Params, desc: ComponentDesc,
+                    echoes: list) -> Message | None:
+    """Simulate one component against a scripted source and return the
+    message of its lone middle-layer transmitter in the round right after
+    the script ends, or None when zero or several transmit.
 
     The script: payload at round 0, then ``echoes[s-1]`` (or silence) at
-    round 3s. Middle nodes and the leaf run the stage-2 step on histories
-    assembled purely from the script and each other, which matches their
-    real behavior on any network where the script matches the source.
+    round 3s. Middle nodes and the leaf run stage 2 on what they observe of
+    the script and of each other, which matches their real behavior on any
+    network where the script matches the source. A descriptor that does
+    not yield exactly one transmitter cannot have come from a matching
+    execution (wrong-network advice); it maps to silence, keeping the run
+    total and deterministic.
     """
-    k = params.k
-    mids = [l1_label(params, comp, j) for j in range(k)]
-    leaf = l2_label(params, comp)
-    adjacent = [j for j in range(k) if (tau >> j) & 1]
-    leaf_nbrs = tuple(sorted(mids[j] for j in adjacent))
-    hist: dict[int, list[Observation]] = {x: [] for x in mids + [leaf]}
-    horizon = 3 * len(echoes) + 2
-    final_tx: list[tuple[int, Message]] = []
-    for r in range(horizon):
-        if r == 0:
-            src_msg: Message | None = BroadcastPayload(PAYLOAD)
-        elif r % 3 == 0:
-            src_msg = echoes[r // 3 - 1]
-        else:
-            src_msg = None
-        acts: dict[int, Action] = {}
-        for j, x in enumerate(mids):
-            nbrs = (SOURCE, leaf) if j in adjacent else (SOURCE,)
-            acts[x] = p2.step(ProtocolContext(x, nbrs, r, tuple(hist[x]), params))
-        acts[leaf] = p2.step(ProtocolContext(leaf, leaf_nbrs, r, tuple(hist[leaf]), params))
-
-        mid_tx = [(x, acts[x].message) for x in mids if isinstance(acts[x], Transmit)]
-        leaf_msg = acts[leaf].message if isinstance(acts[leaf], Transmit) else None
-        if r == horizon - 1:
-            final_tx = mid_tx
-        for j, x in enumerate(mids):
-            if isinstance(acts[x], Transmit):
-                hist[x].append(PHI)
-                continue
-            got = []
-            if src_msg is not None:
-                got.append(Received(SOURCE, src_msg))
-            if j in adjacent and leaf_msg is not None:
-                got.append(Received(leaf, leaf_msg))
-            hist[x].append(got[0] if len(got) == 1 else PHI)
-        if isinstance(acts[leaf], Transmit):
-            hist[leaf].append(PHI)
-        else:
-            got = [Received(x, m) for x, m in mid_tx if x in leaf_nbrs]
-            hist[leaf].append(got[0] if len(got) == 1 else PHI)
-    return tuple(sorted(final_tx))
+    mids = [l1_label(params, desc.component, j) for j in range(params.k)]
+    leaf = l2_label(params, desc.component)
+    edges = [(SOURCE, x) for x in mids]
+    edges += [(x, leaf) for j, x in enumerate(mids) if (desc.tau >> j) & 1]
+    net = Network([SOURCE, *mids, leaf], edges, require_connected=False)
+    nodes = {x: spawn(p2, x, tuple(sorted(net.neighbors(x))), params) for x in mids + [leaf]}
+    for r in range(3 * len(echoes) + 2):
+        actions = {x: node.act(r) for x, node in nodes.items()}
+        script = BroadcastPayload(PAYLOAD) if r == 0 else echoes[r // 3 - 1] if r % 3 == 0 else None
+        actions[SOURCE] = LISTEN if script is None else Transmit(script)
+        rec = core.step_round(net, actions, r)
+        for x, node in nodes.items():
+            node.observe(rec.deliveries[x])
+    tx = [rec.actions[x].message for x in mids if isinstance(rec.actions[x], Transmit)]
+    return tx[0] if len(tx) == 1 else None
 
 
-@lru_cache(maxsize=None)
-def _echo_stream(p2: Protocol, params: C2Params,
-                 descs: tuple[ComponentDesc | None, ...]) -> tuple[Message | None, ...]:
-    """Rebuild the stage-2 source stream from a descriptor stream.
+class _DescMiddle(_Middle):
+    """Rebuilds the echo stream from the descriptor stream: descriptor s
+    names the component whose lone member was heard in round 3s-2, and
+    simulating that component recovers the message itself."""
 
-    Entry s names the component whose lone member was heard in round 3s-2;
-    simulating that component recovers the message itself. A descriptor
-    whose simulation does not yield exactly one transmitter cannot have
-    come from a matching execution (wrong-network advice); it maps to
-    silence, keeping the step total and deterministic.
-    """
-    echoes: list[Message | None] = []
-    for desc in descs:
-        if desc is None:
-            echoes.append(None)
-            continue
-        tx = _sim_component(p2, params, desc.component, desc.tau, tuple(echoes))
-        echoes.append(tx[0][1] if len(tx) == 1 else None)
-    return tuple(echoes)
+    def __init__(self, inner, echo):
+        super().__init__(inner)
+        self.echo = echo
+        self.descs: list = []
+        self.echoes: list = []
 
-
-def _pi3_l1_step(p2: Protocol, params: C2Params, ctx: ProtocolContext,
-                 descs: tuple[ComponentDesc | None, ...]) -> Action:
-    echoes = _echo_stream(p2, params, descs)
-
-    def obs_at(s: int) -> Observation:
-        msg = echoes[s - 1]
-        return Received(SOURCE, msg) if msg is not None else PHI
-
-    synth = _synth_history(ctx, obs_at)
-    return p2.step(
-        ProtocolContext(ctx.own_label, ctx.neighbor_labels, ctx.round, synth, params)
-    )
+    def _from_source(self, s: int, obs):
+        desc = None
+        if isinstance(obs, Received):
+            if not isinstance(obs.message, ComponentDesc):
+                raise ProtocolBindingError(f"expected a component descriptor at round {3 * s}")
+            desc = obs.message
+        self.descs.append(desc)
+        echo = None if desc is None else self.echo(tuple(self.descs), self.echoes)
+        self.echoes.append(echo)
+        return PHI if echo is None else Received(SOURCE, echo)
 
 
-def _descs_from_history(ctx: ProtocolContext, t: int) -> tuple[ComponentDesc | None, ...]:
-    descs: list[ComponentDesc | None] = []
-    for s in range(1, t + 1):
-        heard = ctx.history[3 * s]
-        if isinstance(heard, Received):
-            if not isinstance(heard.message, ComponentDesc):
-                raise ProtocolBindingError(
-                    f"expected a component descriptor at round {3 * s}"
-                )
-            descs.append(heard.message)
-        else:
-            descs.append(None)
-    return tuple(descs)
-
-
-def _make_pi3(p2: Protocol, taus: tuple[int, ...] | None) -> Protocol:
+def _make_pi3(p2: Protocol, taus: tuple[int, ...] | None, echoes: dict) -> Protocol:
     params = p2.params
 
-    @lru_cache(maxsize=None)
-    def step(ctx: ProtocolContext) -> Action:
-        if ctx.own_label == SOURCE:
-            if taus is None:
-                raise ProtocolBindingError(
-                    "stage-3 source needs the network topology; run() binds it via setup"
-                )
-            if ctx.round == 0:
-                return Transmit(BroadcastPayload(PAYLOAD))
-            if ctx.round % 3 == 0:
-                heard = ctx.history[ctx.round - 2]
-                if isinstance(heard, Received):
-                    comp = component_of(heard.sender, params)
-                    return Transmit(ComponentDesc(comp, taus[comp]))
-            return LISTEN
-        if layer_of(ctx.own_label, params) == 2:
-            return p2.step(ctx)
-        t, phase = divmod(ctx.round, 3)
-        if phase != 1:
-            return LISTEN
-        return _pi3_l1_step(p2, params, ctx, _descs_from_history(ctx, t))
+    # Every middle node of every network that hears the same descriptor
+    # prefix rebuilds the same echo; across a prune's whole family that is
+    # one component simulation per distinct prefix instead of one per node.
+    def echo(descs: tuple, earlier: list):
+        if descs not in echoes:
+            echoes[descs] = _component_echo(p2, params, descs[-1], earlier)
+        return echoes[descs]
+
+    def source():
+        if taus is None:
+            raise ProtocolBindingError(
+                "stage-3 source needs the network topology; run() binds it via setup"
+            )
+
+        def describe(heard):
+            comp = component_of(heard.sender, params)
+            return ComponentDesc(comp, taus[comp])
+
+        return _Source(BroadcastPayload(PAYLOAD), describe)
 
     def setup(net: Network, max_rounds: int) -> Protocol:
         if net.c2_taus is None:
             raise ProtocolBindingError("stage-3 protocols run only on c2 networks")
-        return _make_pi3(p2, tuple(net.c2_taus))
+        return _make_pi3(p2, tuple(net.c2_taus), echoes)
 
-    return Protocol(
-        f"pi3[{p2.name}]",
-        step,
-        setup=None if taus is not None else setup,
-        stage=StageTag.PI3,
-        params=params,
-    )
+    return _staged(p2, StageTag.PI3, source, lambda me: _DescMiddle(me, echo),
+                   setup=None if taus is not None else setup)
 
 
 def to_pi3(p2: Protocol) -> Protocol:
     """Restrict the source to component descriptors (stage 3). The returned
     protocol binds the network topology as the source's private input when a
-    run starts."""
-    _require_stage(p2, StageTag.PI2, "to_pi3")
-    return _make_pi3(p2, None)
+    run starts; it and every binding share one memo of rebuilt echoes."""
+    require_stage(p2, StageTag.PI2, "to_pi3")
+    return _make_pi3(p2, None, {})
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +366,7 @@ def to_pi3(p2: Protocol) -> Protocol:
 def make_advice(p3: Protocol, net: Network, r: int) -> AdviceString:
     """Advice for a budget of r base rounds: the source's stage-3
     transmissions at rounds 3t, t = 1..r-1, on the given network."""
-    _require_stage(p3, StageTag.PI3, "make_advice")
+    require_stage(p3, StageTag.PI3, "make_advice")
     if r <= 1:
         return AdviceString(())
     trace = core.run(net, p3, 3 * (r - 1) + 1)
@@ -409,61 +382,55 @@ def make_advice(p3: Protocol, net: Network, r: int) -> AdviceString:
     return AdviceString(tuple(entries))
 
 
-def pi4_with_advice(p3: Protocol, advice: AdviceString) -> Protocol:
-    """Stage 4 under a fixed advice string (not necessarily the network's own)."""
-    _require_stage(p3, StageTag.PI3, "pi4_with_advice")
-    params = p3.params
+class _AdvisedMiddle(_Middle):
+    """The advice is exactly the descriptor stream a stage-3 source would
+    have transmitted; hand the stage-3 self observations that say so."""
 
-    @lru_cache(maxsize=None)
-    def step(ctx: ProtocolContext) -> Action:
-        if ctx.own_label == SOURCE:
-            if ctx.round == 0:
-                return Transmit(BroadcastPayload(PAYLOAD, advice))
-            return LISTEN
-        if layer_of(ctx.own_label, params) == 2:
-            return p3.step(ctx)
-        t, phase = divmod(ctx.round, 3)
-        if phase != 1:
-            return LISTEN
-        first = ctx.history[0] if ctx.history else PHI
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.first = None  # the round-0 observation
+
+    def observe(self, obs) -> None:
+        if self.first is None:
+            self.first = obs
+        super().observe(obs)
+
+    def _check(self, round: int) -> None:
+        first = self.first
         if not (isinstance(first, Received) and isinstance(first.message, BroadcastPayload)
                 and isinstance(first.message.advice, AdviceString)):
             raise ProtocolBindingError("middle node saw no advice in round 0")
-        got: AdviceString = first.message.advice
-        if len(got.entries) < t:
+        got = first.message.advice
+        if len(got.entries) < round // 3:
             raise ProtocolBindingError(
-                f"advice has {len(got.entries)} entries, round {ctx.round} needs {t}"
+                f"advice has {len(got.entries)} entries, round {round} needs {round // 3}"
             )
 
-        # The advice is exactly the descriptor stream a stage-3 source would
-        # have transmitted; hand the stage-3 step a history that says so.
-        def obs_at(s: int) -> Observation:
-            entry = got.entries[s - 1]
-            return Received(SOURCE, entry) if entry is not None else PHI
+    def _from_source(self, s: int, obs):
+        entry = self.first.message.advice.entry(s)
+        return PHI if entry is None else Received(SOURCE, entry)
 
-        synth = _synth_history(ctx, obs_at)
-        return p3.step(
-            ProtocolContext(ctx.own_label, ctx.neighbor_labels, ctx.round, synth, params)
-        )
 
-    return Protocol(f"pi4[{p3.name}]", step, stage=StageTag.PI4, params=params)
+def pi4_with_advice(p3: Protocol, advice: AdviceString) -> Protocol:
+    """Stage 4 under a fixed advice string (not necessarily the network's own)."""
+    require_stage(p3, StageTag.PI3, "pi4_with_advice")
+    return _staged(p3, StageTag.PI4, lambda: _Source(BroadcastPayload(PAYLOAD, advice)),
+                   _AdvisedMiddle)
 
 
 def to_pi4(p3: Protocol) -> Protocol:
     """Advised stage 4: setup computes the network's own advice, the source
     transmits it once with the payload and then stays silent."""
-    _require_stage(p3, StageTag.PI3, "to_pi4")
-    params = p3.params
+    require_stage(p3, StageTag.PI3, "to_pi4")
 
-    def unbound_step(ctx: ProtocolContext) -> Action:
+    def unbound(own, neighbors, params):
         raise ProtocolBindingError("stage-4 protocol used without setup binding")
 
     def setup(net: Network, max_rounds: int) -> Protocol:
-        budget = 1 if max_rounds < 2 else (max_rounds - 2) // 3 + 1
-        return pi4_with_advice(p3, make_advice(p3, net, budget))
+        return pi4_with_advice(p3, make_advice(p3, net, advice_budget(max_rounds)))
 
-    return Protocol(f"pi4[{p3.name}]", unbound_step, setup=setup,
-                    stage=StageTag.PI4, params=params)
+    return Protocol(f"pi4[{p3.name}]", None, setup=setup, stage=StageTag.PI4,
+                    params=p3.params, node=unbound)
 
 
 def transform_chain(p0: Protocol, params: C2Params, stage: int) -> Protocol:

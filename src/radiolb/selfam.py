@@ -44,11 +44,13 @@ def indices_to_mask(indices) -> int:
     return mask
 
 
-def _check_universe(n: int, cap: int) -> None:
+def _check_universe(n: int, k: int, cap: int) -> None:
     if n > cap:
         raise UniverseTooLarge(f"universe {n} exceeds cap {cap}")
     if n < 1:
         raise ValueError("universe must be positive")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
 def _targets(n: int, k: int) -> list[int]:
@@ -60,9 +62,7 @@ def is_selective(fam: SetFamily, n: int, k: int) -> tuple[bool, int | None]:
 
     The witness is the smallest failing subset in ascending bitmask order.
     """
-    _check_universe(n, SELECTIVITY_UNIVERSE_CAP)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_universe(n, k, SELECTIVITY_UNIVERSE_CAP)
     for z in _targets(n, k):
         if not any(bin(z & f).count("1") == 1 for f in fam.sets):
             return False, z
@@ -71,7 +71,7 @@ def is_selective(fam: SetFamily, n: int, k: int) -> tuple[bool, int | None]:
 
 def greedy_selective(n: int, k: int) -> SetFamily:
     """Greedy upper-bound construction: always passes is_selective."""
-    _check_universe(n, SELECTIVITY_UNIVERSE_CAP)
+    _check_universe(n, k, SELECTIVITY_UNIVERSE_CAP)
     targets = _targets(n, k)
     selects = {f: {z for z in targets if bin(z & f).count("1") == 1}
                for f in range(1, 1 << n)}
@@ -95,7 +95,7 @@ def min_selective_size(n: int, k: int) -> int:
     a coverage bound prunes branches that cannot finish in the remaining
     depth.
     """
-    _check_universe(n, MIN_SEARCH_UNIVERSE_CAP)
+    _check_universe(n, k, MIN_SEARCH_UNIVERSE_CAP)
     targets = _targets(n, k)
     target_bit = {z: 1 << i for i, z in enumerate(targets)}
     full = (1 << len(targets)) - 1

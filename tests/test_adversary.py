@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from radiolb import (
@@ -9,6 +12,7 @@ from radiolb import (
     SetFamily,
     TopologyVector,
     Witness,
+    analyze,
     build_c2,
     completion_round,
     cross_check,
@@ -26,6 +30,8 @@ from radiolb import (
 )
 from radiolb.c2 import enumerate_c2
 from radiolb.errors import FreeComponentMissing
+
+from preys import leaf_ack_prey
 
 
 def pi3_of(p0, params):
@@ -177,3 +183,15 @@ def test_cross_check_accepts_true_witness(params22):
     real = Witness(TopologyVector((1, 1)), (0,), 3, False)
     assert cross_check(round_robin(params22), real, params22)
     assert cross_check(silent_l1(params22), Witness(TopologyVector((2, 3)), (1,), 4, False), params22)
+
+
+def test_analyze_keeps_no_reference_to_the_protocol():
+    # Nothing outlives an analysis: no module-level cache holds the
+    # protocol (or its stage-3 echo memo) once the caller drops it.
+    params = C2Params(2, 3)
+    p0 = leaf_ack_prey(params)
+    ref = weakref.ref(p0)
+    assert analyze(p0, 5, params).witness is not None
+    del p0
+    gc.collect()
+    assert ref() is None

@@ -189,3 +189,36 @@ def test_byte_identical_reruns(capsys, tmp_path):
             "--protocol", "round-robin", "--rounds", "8", "--trace", str(target),
         )
     assert t1.read_bytes() == t2.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "transform"])
+def test_negative_rounds_are_a_usage_error(command, capsys):
+    argv = [command, "--net", "c2:m=1,k=1,taus=1", "--protocol", "round-robin",
+            "--rounds", "-3"] + (["--stage", "1"] if command == "transform" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--rounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["greedy", "min"])
+def test_selfam_search_rejects_k_outside_one_to_n(verb, capsys):
+    for k in ("0", "4"):
+        code, out, err = invoke(capsys, "selfam", verb, "--n", "3", "--k", k)
+        assert (code, out) == (1, "")
+        assert err == f"error: need 1 <= k <= n, got k={k}, n=3\n"
+
+
+def test_bad_enumeration_cap_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("RADIOLB_ENUM_CAP", "abc")
+    code, out, err = invoke(capsys, "enumerate", "--m", "1", "--k", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: RADIOLB_ENUM_CAP must be an integer, got 'abc'\n"
+
+
+def test_unknown_protocol_is_quoted_once(capsys):
+    code, out, err = invoke(
+        capsys, "simulate", "--net", "c2:m=1,k=1,taus=1", "--protocol", "nope", "--rounds", "2",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: unknown protocol 'nope'\n"

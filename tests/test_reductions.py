@@ -10,6 +10,8 @@ preserved).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from radiolb import (
@@ -183,6 +185,23 @@ def test_silent_stays_silent_after_round_zero(params22):
         if isinstance(a, Transmit)
     ]
     assert txs == [(0, 0)]
+
+
+def test_stage_one_steps_each_base_node_once_per_base_round():
+    # A stage-1 node carries its base self forward one collapsed triple at a
+    # time, so a run of R base rounds asks every node's base self R actions.
+    params = C2Params(3, 3)
+    p0 = hash_prey(params, seed=7)
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx.round)
+        return p0.step(ctx)
+
+    net = build_c2(params, TopologyVector((3, 5, 6)))
+    base_rounds = 40
+    run(net, to_pi1(dataclasses.replace(p0, step=counted), params), 3 * base_rounds)
+    assert len(calls) == net.n * base_rounds == 520
 
 
 # ---------------------------------------------------------------------------
