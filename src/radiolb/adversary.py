@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import core
-from .c2 import C2Params, TopologyVector, build_c2, enumerate_c2, l1_index, l2_label, layer_of
+from .c2 import C2Params, TopologyVector, build_c2, component_net, enumerate_c2, l1_index, l2_label
 from .core import Received, Transmit
 from .errors import FreeComponentMissing, WitnessInconsistency
 from .prune import PruneResult, run_prune
@@ -64,7 +64,9 @@ def derive_family(
     r: int,
     params: C2Params,
 ) -> DerivedFamily:
-    """Simulate the advised stage-4 protocol on every Z-variant network.
+    """Simulate the advised stage-4 protocol (advice ``pr.advice``) on the
+    free component alone (``c2.component_net``) for every adjacency subset
+    Z, where it acts exactly as in the base network's Z-variant.
 
     A middle index x joins set j when, on some variant where x is adjacent
     to the leaf, x transmits in round 3j+1 while the leaf has heard nothing
@@ -76,28 +78,15 @@ def derive_family(
     sets = [0] * r
     first_success: dict[int, int | None] = {}
     for z in range(1, 1 << params.k):
-        tv = pr.base_net.replace(free, z)
-        net = build_c2(params, tv)
-        trace = core.run(net, p4, 3 * r)
-        success = None
-        for rec in trace.rounds:
-            if isinstance(rec.deliveries[leaf], Received):
-                success = rec.round
-                break
-        first_success[z] = success
-        cutoff = success if success is not None else 3 * r
-        for j in range(r):
-            rnd = 3 * j + 1
-            if rnd >= len(trace.rounds) or rnd > cutoff:
-                break
-            for x, act in trace.rounds[rnd].actions.items():
-                if not isinstance(act, Transmit):
-                    continue
-                if layer_of(x, params) != 1:
-                    continue
-                idx = l1_index(x, params)
-                if x in net.neighbors(leaf):
-                    sets[j] |= 1 << idx
+        net = component_net(params, free, z)
+        rounds = core.run(net, p4, 3 * r).rounds
+        heard = [rec.round for rec in rounds if isinstance(rec.deliveries[leaf], Received)]
+        first_success[z] = heard[0] if heard else None
+        # rounds 3j+1 through the leaf's first reception
+        for j, rec in enumerate(rounds[1:heard[0] + 1 if heard else 3 * r:3]):
+            for x in net.neighbors(leaf):
+                if isinstance(rec.actions[x], Transmit):
+                    sets[j] |= 1 << l1_index(x, params)
     return DerivedFamily(params.k, tuple(sets), first_success)
 
 

@@ -88,19 +88,27 @@ def _check_tau(tau: int, k: int) -> None:
         raise InvalidTau(f"tau={tau} outside [1, {1 << k})")
 
 
+def _component_edges(params: C2Params, i: int, tau: int) -> list[tuple[int, int]]:
+    mids = [l1_label(params, i, j) for j in range(params.k)]
+    leaf = l2_label(params, i)
+    return [(0, x) for x in mids] + [(leaf, x) for j, x in enumerate(mids) if (tau >> j) & 1]
+
+
 def build_c2(params: C2Params, tv: TopologyVector) -> Network:
     if len(tv.taus) != params.m:
         raise InvalidTau(f"expected {params.m} taus, got {len(tv.taus)}")
     for tau in tv.taus:
         _check_tau(tau, params.k)
-    labels = range(params.n)
-    edges = []
-    for i in range(params.m):
-        for j in range(params.k):
-            edges.append((0, l1_label(params, i, j)))
-            if (tv.taus[i] >> j) & 1:
-                edges.append((l2_label(params, i), l1_label(params, i, j)))
-    return Network(labels, edges, c2_params=params, c2_taus=tv.taus)
+    edges = [e for i, tau in enumerate(tv.taus) for e in _component_edges(params, i, tau)]
+    return Network(range(params.n), edges, c2_params=params, c2_taus=tv.taus)
+
+
+def component_net(params: C2Params, i: int, tau: int) -> Network:
+    """The source plus component i alone, under the family's labels: the
+    network on which pruning and the Z-sweep simulate one component."""
+    _check_tau(tau, params.k)
+    edges = _component_edges(params, i, tau)
+    return Network({x for edge in edges for x in edge}, edges, c2_params=params)
 
 
 def enumeration_cap() -> int:

@@ -19,7 +19,7 @@ from .c2 import C2Params, build_c2, decode_c2, encode_c2, enumerate_c2
 from .errors import RadioLBError
 from .prune import run_prune
 from .protocols import get_protocol
-from .reductions import advice_budget, make_advice, transform_chain
+from .reductions import advice_budget, make_advice, pi4_with_advice, transform_chain
 from .selfam import (
     SetFamily,
     family_from_lines,
@@ -87,7 +87,10 @@ def _cmd_enumerate(args) -> int:
 def _cmd_transform(args) -> int:
     params, tv, net = _load_net(args.net)
     p0 = get_protocol(args.protocol, params)
-    proto = transform_chain(p0, params, args.stage)
+    proto = transform_chain(p0, params, min(args.stage, 3))
+    if args.stage == 4:
+        advice = make_advice(proto, net, advice_budget(args.rounds))
+        proto = pi4_with_advice(proto, advice)
     trace = core.run(net, proto, args.rounds)
     for line in core.trace_to_jsonl(trace):
         print(line)
@@ -97,8 +100,7 @@ def _cmd_transform(args) -> int:
         "stage": args.stage,
     }
     if args.stage == 4:
-        p3 = transform_chain(p0, params, 3)
-        report["advice"] = make_advice(p3, net, advice_budget(args.rounds)).encode()
+        report["advice"] = advice.encode()
     _emit(report)
     return 0
 
@@ -235,8 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("simulate", "transform") and args.rounds < 0:
-        parser.error(f"--rounds must be >= 0, got {args.rounds}")
+    least = {"simulate": 0, "transform": 0, "prune": 1}.get(args.command)
+    if least is not None and args.rounds < least:
+        parser.error(f"--rounds must be >= {least}, got {args.rounds}")
+    if args.command == "adversary" and args.budget < 1:
+        parser.error(f"--budget must be >= 1, got {args.budget}")
     if args.command == "selfam":
         if args.verb == "verify" and not args.family:
             parser.error("selfam verify requires --family")

@@ -231,7 +231,6 @@ def run(
     proto,
     max_rounds: int,
     *,
-    payload: bytes = PAYLOAD,
     collect_violations: list | None = None,
 ) -> Trace:
     """Run a protocol for max_rounds rounds and return the full trace.

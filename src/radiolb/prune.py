@@ -7,8 +7,13 @@ in which case the event carries the descriptor the source sent.
 
 Pruning scans events t = 1..r-1 over the whole enumerated family and keeps
 a subset of networks that all share one event sequence, hence one advice
-string. Marking then pins the components that the decisive rounds depended
-on; every network agreeing with the chosen base on the marked components is
+string. Survivors share the events before t, hence the advice entries so
+far; under a fixed advice the stage-4 source is silent after round 0 and no
+edge joins two components, so round 3t-2 of a network is the union of its
+components'. Pruning runs advised stage 4 once per (component, tau) among
+the survivors (``c2.component_net``); one network is a one-vector family.
+Marking then pins the components that the decisive rounds depended on;
+every network agreeing with the chosen base on the marked components is
 guaranteed to be a survivor, so any unmarked component is free to vary.
 """
 
@@ -17,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import core
-from .c2 import C2Params, TopologyVector, build_c2, component_of, enumerate_c2, layer_of
-from .core import ComponentDesc, Network, Transmit
+from .c2 import C2Params, TopologyVector, build_c2, component_net, component_of, enumerate_c2
+from .core import SOURCE, ComponentDesc, Network, Transmit
+from .errors import ProtocolBindingError
 from .protocols import Protocol, StageTag
-from .reductions import AdviceString, require_stage
+from .reductions import AdviceString, pi4_with_advice, require_stage
 
 
 @dataclass(frozen=True)
@@ -55,36 +61,53 @@ class PruneResult:
     free_component: int | None
 
 
-def _decisive_transmitters(p3: Protocol, net: Network, r: int, params: C2Params,
-                           op: str) -> list[list[int]]:
-    """Sorted middle-layer transmitters of each round 3t-2, t = 1..r-1, from
-    a single stage-3 run on the network."""
+def _event(txs: list[int], taus: tuple[int, ...], params: C2Params) -> Event:
+    if not txs:
+        return SILENT
+    if len(txs) >= 2:
+        return COLLISION
+    comp = component_of(txs[0], params)
+    return Single(comp, taus[comp])
+
+
+def _heard(table: dict, tv: TopologyVector) -> list[int]:
+    return sorted(x for i, tau in enumerate(tv.taus) for x in table[i, tau])
+
+
+def _prune(p3: Protocol, vectors, r: int, params: C2Params, op: str):
+    """``run_prune``'s survivor rule on ``vectors``: the survivors, the events
+    and advice they share, and the smallest survivor's marks."""
     require_stage(p3, StageTag.PI3, op)
-    if r <= 1:
-        return []
-    trace = core.run(net, p3, 3 * (r - 1) - 2 + 1)  # last inspected round is 3(r-1)-2
-    return [
-        sorted(
-            x
-            for x, a in trace.rounds[3 * t - 2].actions.items()
-            if isinstance(a, Transmit) and layer_of(x, params) == 1
-        )
-        for t in range(1, r)
-    ]
+    survivors, events, entries, tables = list(vectors), [], [], []
+    for t in range(1, r):
+        p4 = pi4_with_advice(p3, AdviceString(tuple(entries)))
+        table = {}  # (component, tau) -> its middle transmitters in round 3t-2
+        for i, tau in sorted({(i, tau) for tv in survivors for i, tau in enumerate(tv.taus)}):
+            rec = core.run(component_net(params, i, tau), p4, 3 * t - 1).rounds[3 * t - 2]
+            table[i, tau] = [x for x, a in rec.actions.items()
+                             if x != SOURCE and isinstance(a, Transmit)]
+        tables.append(table)
+        seen = {tv: _event(_heard(table, tv), tv.taus, params) for tv in survivors}
+        singles = [tv for tv in survivors if isinstance(seen[tv], Single)]
+        e = COLLISION if COLLISION in seen.values() else seen[min(singles)] if singles else SILENT
+        survivors = [tv for tv in survivors if seen[tv] == e]
+        events.append(e)
+        entries.append(ComponentDesc(e.component, e.tau) if isinstance(e, Single) else None)
+    base = min(survivors)
+    marked = frozenset(component_of(x, params) for table in tables for x in _heard(table, base)[:2])
+    return survivors, tuple(events), AdviceString(tuple(entries)), marked
+
+
+def _one(p3: Protocol, net: Network, r: int, params: C2Params, op: str):
+    """Prune the one-vector family of a c2 network."""
+    if net.c2_taus is None:
+        raise ProtocolBindingError("stage-3 protocols run only on c2 networks")
+    return _prune(p3, [TopologyVector(net.c2_taus)], r, params, op)
 
 
 def event_sequence(p3: Protocol, net: Network, r: int, params: C2Params) -> tuple[Event, ...]:
-    """Events at t = 1..r-1 from a single stage-3 run on the network."""
-    events: list[Event] = []
-    for txs in _decisive_transmitters(p3, net, r, params, "event_sequence"):
-        if not txs:
-            events.append(SILENT)
-        elif len(txs) >= 2:
-            events.append(COLLISION)
-        else:
-            comp = component_of(txs[0], params)
-            events.append(Single(comp, net.c2_taus[comp]))
-    return tuple(events)
+    """Events at t = 1..r-1 on one c2 network."""
+    return _one(p3, net, r, params, "event_sequence")[1]
 
 
 def classify_event(p3: Protocol, net: Network, t: int) -> Event:
@@ -107,30 +130,11 @@ def run_prune(p3: Protocol, r: int, params: C2Params) -> PruneResult:
     require_stage(p3, StageTag.PI3, "run_prune")
     if r < 1:
         raise ValueError("r must be >= 1")
-    vectors = list(enumerate_c2(params))
-    seqs = {tv: event_sequence(p3, build_c2(params, tv), r, params) for tv in vectors}
-
-    survivors = vectors
-    if r > 1:
-        for idx in range(r - 1):
-            if any(isinstance(seqs[tv][idx], Collision) for tv in survivors):
-                survivors = [tv for tv in survivors if isinstance(seqs[tv][idx], Collision)]
-            else:
-                with_single = [tv for tv in survivors if isinstance(seqs[tv][idx], Single)]
-                if with_single:
-                    chosen = min(with_single)
-                    survivors = [tv for tv in survivors if seqs[tv][idx] == seqs[chosen][idx]]
-
+    survivors, _, advice, marked = _prune(p3, enumerate_c2(params), r, params, "run_prune")
     base = min(survivors)
-    events = seqs[base]
-    advice = AdviceString(
-        tuple(
-            ComponentDesc(e.component, e.tau) if isinstance(e, Single) else None
-            for e in events
-        )
-    )
-    marked = mark_components(p3, build_c2(params, base), r)
     free = next((i for i in range(params.m) if i not in marked), None)
+    # the shared events, read through event_sequence so perfbench's tracing counts it
+    events = event_sequence(p3, build_c2(params, base), r, params)
     return PruneResult(events, survivors, advice, base, marked, free)
 
 
@@ -141,11 +145,7 @@ def mark_components(p3: Protocol, base: Network, r: int) -> frozenset[int]:
     collision marks the components of the two transmitting nodes with the
     smallest labels (any fixed pair works, so take the canonical one).
     """
-    params = base.c2_params
-    marked: set[int] = set()
-    for txs in _decisive_transmitters(p3, base, r, params, "mark_components"):
-        marked.update(component_of(x, params) for x in txs[:2])
-    return frozenset(marked)
+    return _one(p3, base, r, base.c2_params, "mark_components")[3]
 
 
 def membership(

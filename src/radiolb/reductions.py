@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import core
-from .c2 import C2Params, component_of, l1_label, l2_label, layer_of
+from .c2 import C2Params, component_net, component_of, layer_of
 from .core import (
     LISTEN,
     PAYLOAD,
@@ -279,12 +279,9 @@ def _component_echo(p2: Protocol, params: C2Params, desc: ComponentDesc,
     execution (wrong-network advice); it maps to silence, keeping the run
     total and deterministic.
     """
-    mids = [l1_label(params, desc.component, j) for j in range(params.k)]
-    leaf = l2_label(params, desc.component)
-    edges = [(SOURCE, x) for x in mids]
-    edges += [(x, leaf) for j, x in enumerate(mids) if (desc.tau >> j) & 1]
-    net = Network([SOURCE, *mids, leaf], edges, require_connected=False)
-    nodes = {x: spawn(p2, x, tuple(sorted(net.neighbors(x))), params) for x in mids + [leaf]}
+    net = component_net(params, desc.component, desc.tau)
+    nodes = {x: spawn(p2, x, tuple(sorted(net.neighbors(x))), params)
+             for x in sorted(net.labels - {SOURCE})}
     for r in range(3 * len(echoes) + 2):
         actions = {x: node.act(r) for x, node in nodes.items()}
         script = BroadcastPayload(PAYLOAD) if r == 0 else echoes[r // 3 - 1] if r % 3 == 0 else None
@@ -292,7 +289,8 @@ def _component_echo(p2: Protocol, params: C2Params, desc: ComponentDesc,
         rec = core.step_round(net, actions, r)
         for x, node in nodes.items():
             node.observe(rec.deliveries[x])
-    tx = [rec.actions[x].message for x in mids if isinstance(rec.actions[x], Transmit)]
+    # the last round is a sub-round 1: only middle nodes can transmit
+    tx = [a.message for a in rec.actions.values() if isinstance(a, Transmit)]
     return tx[0] if len(tx) == 1 else None
 
 

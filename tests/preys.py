@@ -2,7 +2,8 @@
 
 These exercise paths the registry protocols never touch: leaf
 transmissions, an active source, content-dependent middle-layer behavior,
-and pseudo-random but deterministic schedules.
+a source that branches on sender identity, and pseudo-random but
+deterministic schedules.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from radiolb import (
     LISTEN,
     PAYLOAD,
+    PHI,
     SOURCE,
     BroadcastPayload,
     C2Params,
@@ -133,3 +135,27 @@ def relay_prey(params: C2Params) -> Protocol:
         return LISTEN
 
     return Protocol("relay", step, params=params)
+
+
+def sender_answer_prey(params: C2Params) -> Protocol:
+    """A source that branches on sender identity: it sends an opaque answer
+    in the round after it hears label 2, and only then. An informed middle
+    node sends the payload in the round equal to its own label and in the
+    round after it hears that answer. Leaves only listen.
+    """
+
+    def step(ctx):
+        own = ctx.own_label
+        last = ctx.history[-1] if ctx.history else PHI
+        if own == SOURCE:
+            if ctx.round == 0:
+                return Transmit(BroadcastPayload(PAYLOAD))
+            if isinstance(last, Received) and last.sender == 2:
+                return Transmit(Opaque(b"ans"))
+            return LISTEN
+        if layer_of(own, params) == 1 and has_received_payload(ctx.history):
+            if ctx.round == own or (isinstance(last, Received) and last.message == Opaque(b"ans")):
+                return Transmit(BroadcastPayload(PAYLOAD))
+        return LISTEN
+
+    return Protocol("sender-answer", step, params=params)

@@ -191,14 +191,20 @@ def test_byte_identical_reruns(capsys, tmp_path):
     assert t1.read_bytes() == t2.read_bytes()
 
 
-@pytest.mark.parametrize("command", ["simulate", "transform"])
+@pytest.mark.parametrize("command", ["simulate", "transform", "prune", "adversary"])
 def test_negative_rounds_are_a_usage_error(command, capsys):
-    argv = [command, "--net", "c2:m=1,k=1,taus=1", "--protocol", "round-robin",
-            "--rounds", "-3"] + (["--stage", "1"] if command == "transform" else [])
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "--rounds" in capsys.readouterr().err
+    # simulate and transform accept 0 rounds; prune and adversary need at least 1
+    flag = "--budget" if command == "adversary" else "--rounds"
+    lows = ["-3"] if command in ("simulate", "transform") else ["-3", "0"]
+    where = (["--m", "1", "--k", "1"] if command in ("prune", "adversary")
+             else ["--net", "c2:m=1,k=1,taus=1"])
+    for low in lows:
+        argv = [command, "--protocol", "round-robin", flag, low] + where
+        argv += ["--stage", "1"] if command == "transform" else []
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["greedy", "min"])
