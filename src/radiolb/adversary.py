@@ -24,7 +24,7 @@ from .errors import FreeComponentMissing, WitnessInconsistency
 from .prune import PruneResult, run_prune
 from .protocols import Protocol
 from .reductions import pi4_with_advice, transform_chain
-from .selfam import SetFamily, mask_to_indices
+from .selfam import mask_to_indices
 
 
 @dataclass
@@ -35,9 +35,6 @@ class DerivedFamily:
     universe: int
     sets: tuple[int, ...]                     # bitmask per j = 0..r-1
     first_success: dict[int, int | None]      # Z mask -> round or None
-
-    def as_set_family(self) -> SetFamily:
-        return SetFamily(self.universe, tuple(f for f in self.sets if f))
 
 
 @dataclass

@@ -4,9 +4,10 @@ A family F of subsets of [n] is (n,k)-selective when every nonempty subset
 Z of [n] with |Z| <= k is hit exactly once by some member of F, i.e. there
 is an F_j with |Z & F_j| = 1.
 
-Subsets of [n] are represented as bitmasks. Wherever a canonical scan order
-is needed (failure witnesses, searches) subsets are visited in ascending
-bitmask order, which is deterministic and total.
+Subsets of [n] and the relation "f selects Z" are int bitmasks: greedy and
+the exact search share one table (`_selections`) mapping each f to the mask
+of the targets it selects. Scans that need a canonical order (witnesses,
+searches) visit subsets in ascending bitmask order, deterministic and total.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ class SetFamily:
     universe: int
     sets: tuple[int, ...]
 
-    def members(self, index: int) -> tuple[int, ...]:
-        return mask_to_indices(self.sets[index])
-
 
 def mask_to_indices(mask: int) -> tuple[int, ...]:
     return tuple(j for j in range(mask.bit_length()) if (mask >> j) & 1)
@@ -44,17 +42,32 @@ def indices_to_mask(indices) -> int:
     return mask
 
 
+def _check_k(n: int, k: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
 def _check_universe(n: int, k: int, cap: int) -> None:
     if n > cap:
         raise UniverseTooLarge(f"universe {n} exceeds cap {cap}")
     if n < 1:
         raise ValueError("universe must be positive")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_k(n, k)
 
 
 def _targets(n: int, k: int) -> list[int]:
-    return [z for z in range(1, 1 << n) if bin(z).count("1") <= k]
+    return [z for z in range(1, 1 << n) if z.bit_count() <= k]
+
+
+def _selections(n: int, k: int) -> tuple[int, dict[int, int]]:
+    """The mask of all targets, and for every nonempty f (ascending) the
+    mask of the targets f selects; bit i is the i-th target."""
+    targets = _targets(n, k)
+    sel = {
+        f: sum(1 << i for i, z in enumerate(targets) if (z & f).bit_count() == 1)
+        for f in range(1, 1 << n)
+    }
+    return (1 << len(targets)) - 1, sel
 
 
 def is_selective(fam: SetFamily, n: int, k: int) -> tuple[bool, int | None]:
@@ -64,7 +77,7 @@ def is_selective(fam: SetFamily, n: int, k: int) -> tuple[bool, int | None]:
     """
     _check_universe(n, k, SELECTIVITY_UNIVERSE_CAP)
     for z in _targets(n, k):
-        if not any(bin(z & f).count("1") == 1 for f in fam.sets):
+        if not any((z & f).bit_count() == 1 for f in fam.sets):
             return False, z
     return True, None
 
@@ -72,19 +85,15 @@ def is_selective(fam: SetFamily, n: int, k: int) -> tuple[bool, int | None]:
 def greedy_selective(n: int, k: int) -> SetFamily:
     """Greedy upper-bound construction: always passes is_selective."""
     _check_universe(n, k, SELECTIVITY_UNIVERSE_CAP)
-    targets = _targets(n, k)
-    selects = {f: {z for z in targets if bin(z & f).count("1") == 1}
-               for f in range(1, 1 << n)}
-    uncovered = set(targets)
+    uncovered, sel = _selections(n, k)
     chosen: list[int] = []
     while uncovered:
         # Ties break toward the smaller mask so the result is canonical.
-        best = max(selects, key=lambda f: (len(selects[f] & uncovered), -f))
-        gained = selects[best] & uncovered
-        if not gained:
+        best = max(sel, key=lambda f: ((sel[f] & uncovered).bit_count(), -f))
+        if not sel[best] & uncovered:
             raise AssertionError("greedy stalled; universe unsatisfiable")
         chosen.append(best)
-        uncovered -= gained
+        uncovered &= ~sel[best]
     return SetFamily(n, tuple(chosen))
 
 
@@ -96,35 +105,19 @@ def min_selective_size(n: int, k: int) -> int:
     depth.
     """
     _check_universe(n, k, MIN_SEARCH_UNIVERSE_CAP)
-    targets = _targets(n, k)
-    target_bit = {z: 1 << i for i, z in enumerate(targets)}
-    full = (1 << len(targets)) - 1
-    candidates = list(range(1, 1 << n))
-    select_mask = {}
-    for f in candidates:
-        bits = 0
-        for z in targets:
-            if bin(z & f).count("1") == 1:
-                bits |= target_bit[z]
-        select_mask[f] = bits
-    best_single = max(bin(b).count("1") for b in select_mask.values())
+    full, sel = _selections(n, k)
+    masks = list(sel.values())
+    best_single = max(m.bit_count() for m in masks)
 
     def covers(depth: int, covered: int, start: int) -> bool:
         if covered == full:
             return True
-        if depth == 0:
+        if depth == 0 or (full & ~covered).bit_count() > depth * best_single:
             return False
-        remaining = bin(full & ~covered).count("1")
-        if remaining > depth * best_single:
-            return False
-        for i in range(start, len(candidates)):
-            f = candidates[i]
-            add = select_mask[f] & ~covered
-            if not add:
-                continue
-            if covers(depth - 1, covered | select_mask[f], i + 1):
-                return True
-        return False
+        return any(
+            masks[i] & ~covered and covers(depth - 1, covered | masks[i], i + 1)
+            for i in range(start, len(masks))
+        )
 
     size = 1
     while not covers(size, 0, 0):
@@ -134,6 +127,7 @@ def min_selective_size(n: int, k: int) -> int:
 
 def size_bound(n: int, k: int) -> float:
     """Lower-bound formula k/24 * log2(n/k) for the minimum family size."""
+    _check_k(n, k)
     return k / 24 * math.log2(n / k)
 
 
@@ -166,17 +160,22 @@ def family_to_lines(fam: SetFamily) -> list[str]:
 
 
 def family_from_lines(lines) -> SetFamily:
-    lines = list(lines)
-    if not lines or not lines[0].strip().startswith("n="):
-        raise ValueError("family file must start with 'n=<n>'")
-    n = int(lines[0].strip()[2:])
+    lines = [raw.strip() for raw in lines]
+    header = lines[0] if lines else ""
+    try:
+        if not header.startswith("n="):
+            raise ValueError
+        n = int(header[2:])
+    except ValueError:
+        raise ValueError(f"family file line 1: expected 'n=<n>', got {header!r}") from None
     sets = []
-    for raw in lines[1:]:
-        text = raw.strip()
-        if not text:
-            sets.append(0)
-            continue
-        indices = [int(p) for p in text.split(",")]
+    for number, text in enumerate(lines[1:], 2):
+        try:
+            indices = [int(p) for p in text.split(",")] if text else []
+        except ValueError:
+            raise ValueError(
+                f"family file line {number}: expected comma-separated indices, got {text!r}"
+            ) from None
         if any(j < 0 or j >= n for j in indices):
             raise ValueError(f"set {text!r} outside universe [{n}]")
         sets.append(indices_to_mask(indices))

@@ -207,12 +207,20 @@ def test_negative_rounds_are_a_usage_error(command, capsys):
         assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", ["greedy", "min"])
+@pytest.mark.parametrize("verb", ["greedy", "min", "bound"])
 def test_selfam_search_rejects_k_outside_one_to_n(verb, capsys):
     for k in ("0", "4"):
         code, out, err = invoke(capsys, "selfam", verb, "--n", "3", "--k", k)
         assert (code, out) == (1, "")
         assert err == f"error: need 1 <= k <= n, got k={k}, n=3\n"
+
+
+def test_bad_family_header_names_the_format(capsys, tmp_path):
+    fam_file = tmp_path / "fam.txt"
+    fam_file.write_text("n=abc\n0\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "selfam", "verify", "--k", "1", "--family", str(fam_file))
+    assert (code, out) == (1, "")
+    assert err == "error: family file line 1: expected 'n=<n>', got 'n=abc'\n"
 
 
 def test_bad_enumeration_cap_names_the_variable(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -68,6 +69,39 @@ def test_greedy_always_verifies(n, k):
     g = greedy_selective(n, k)
     assert is_selective(g, n, k) == (True, None)
     assert len(g.sets) <= n  # never worse than all singletons
+
+
+def set_greedy(n, k):
+    """Set-based greedy: the reference the bitmask greedy must match exactly."""
+    targets = [z for z in range(1, 1 << n) if bin(z).count("1") <= k]
+    selects = {f: {z for z in targets if bin(z & f).count("1") == 1}
+               for f in range(1, 1 << n)}
+    uncovered = set(targets)
+    chosen = []
+    while uncovered:
+        best = max(selects, key=lambda f: (len(selects[f] & uncovered), -f))
+        gained = selects[best] & uncovered
+        assert gained, "greedy stalled"
+        chosen.append(best)
+        uncovered -= gained
+    return tuple(chosen)
+
+
+def test_greedy_matches_set_based_reference():
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            assert greedy_selective(n, k).sets == set_greedy(n, k), (n, k)
+
+
+def test_greedy_memory_stays_small():
+    # one int per candidate; a Python set per candidate would take about 9.5 MB
+    tracemalloc.start()
+    try:
+        greedy_selective(12, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -198,3 +232,10 @@ def test_family_file_rejects_out_of_universe():
         family_from_lines(["n=2", "0,5"])
     with pytest.raises(ValueError):
         family_from_lines(["2", "0"])
+
+
+def test_family_file_parse_errors_name_line_and_format():
+    with pytest.raises(ValueError, match=r"^family file line 1: expected 'n=<n>', got 'n=abc'$"):
+        family_from_lines(["n=abc"])
+    with pytest.raises(ValueError, match=r"^family file line 3: expected comma-separated indices"):
+        family_from_lines(["n=2", "0", "a,b"])
