@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from . import core
 from .c2 import C2Params, TopologyVector, build_c2, component_net, enumerate_c2, l1_index, l2_label
 from .core import Received, Transmit
-from .errors import FreeComponentMissing, WitnessInconsistency
+from .errors import FreeComponentMissing, UniverseTooLarge, WitnessInconsistency
 from .prune import PruneResult, run_prune
 from .protocols import Protocol
 from .reductions import pi4_with_advice, transform_chain
-from .selfam import mask_to_indices
+from .selfam import SELECTIVITY_UNIVERSE_CAP, mask_to_indices
 
 
 @dataclass
@@ -68,9 +68,16 @@ def derive_family(
     A middle index x joins set j when, on some variant where x is adjacent
     to the leaf, x transmits in round 3j+1 while the leaf has heard nothing
     through round 3j.
+
+    The sweep covers all 2^k - 1 subsets Z, so it shares ``is_selective``'s
+    cap on the universe and raises ``UniverseTooLarge`` before simulating
+    anything when k exceeds it.
     """
     if free is None:
         raise FreeComponentMissing("no free component to vary")
+    if params.k > SELECTIVITY_UNIVERSE_CAP:
+        raise UniverseTooLarge(
+            f"Z-sweep over a universe of {params.k} exceeds cap {SELECTIVITY_UNIVERSE_CAP}")
     leaf = l2_label(params, free)
     sets = [0] * r
     first_success: dict[int, int | None] = {}

@@ -8,6 +8,9 @@ transmitter label (authenticated channel).
 
 Traces additionally record which listeners suffered a collision. Nodes can
 never see that; it exists only for the harness and for tests.
+
+``Execution`` is the one engine loop, stepped a round at a time; ``run``
+steps it to the end and keeps every round's record.
 """
 
 from __future__ import annotations
@@ -226,6 +229,83 @@ def step_round(net: Network, actions: dict[int, Action], round: int) -> RoundRec
     return RoundRecord(round, dict(actions), deliveries, frozenset(collided))
 
 
+class Execution:
+    """A run in progress: each ``step()`` plays one more round and returns
+    its record.
+
+    Every node runs its own process (``protocols.spawn``): each round the
+    execution asks every node for its action, executes the round, then
+    hands every node its observation. The protocol is bound for a run of
+    ``max_rounds`` rounds (its ``setup`` is told that length), and the
+    execution stops there.
+
+    Round 0 permits only the source to transmit; at any later round a node
+    may transmit only if it is the source or has received at least one
+    message. Violations raise; with ``collect_violations`` a list they are
+    recorded and the offending transmission is suppressed (legality probes).
+
+    ``informed`` maps each node that holds the payload to the round it got
+    it. A caller that needs only a prefix of the run steps that far and may
+    come back for more: nothing is replayed.
+    """
+
+    def __init__(self, net: Network, proto, max_rounds: int, *,
+                 collect_violations: list | None = None):
+        if SOURCE not in net.labels:
+            raise UnknownLabel("network has no source node (label 0)")
+        if proto.setup is not None:
+            proto = proto.setup(net, max_rounds)
+            if proto.setup is not None:
+                raise ValueError("setup returned an unbound protocol")
+
+        from .protocols import spawn  # local import: avoids a cycle
+
+        self.net, self.name, self.max_rounds = net, proto.name, max_rounds
+        self.collect_violations = collect_violations
+        self.order = sorted(net.labels)
+        self.nodes = {x: spawn(proto, x, tuple(sorted(net.neighbors(x))), net.c2_params)
+                      for x in self.order}
+        self.heard: set[int] = set()  # nodes that have received at least one message
+        self.informed: dict[int, int] = {SOURCE: 0}
+        self.round = 0  # the next round to play
+
+    def step(self) -> RoundRecord:
+        t = self.round
+        if t >= self.max_rounds:
+            raise ValueError(f"the run was bound for {self.max_rounds} rounds")
+        actions: dict[int, Action] = {}
+        for x in self.order:
+            act = self.nodes[x].act(t)
+            if not isinstance(act, (Transmit, Listen, Inactive)):
+                raise TypeError(f"{self.name} returned {act!r} for node {x}")
+            actions[x] = act
+
+        for x in self.order:
+            if not isinstance(actions[x], Transmit) or x == SOURCE:
+                continue
+            if t == 0:
+                err = NonSourceRoundZero(x, 0)
+            elif x not in self.heard:
+                err = SpontaneityViolation(x, t)
+            else:
+                continue
+            if self.collect_violations is None:
+                raise err
+            self.collect_violations.append(err)
+            actions[x] = LISTEN
+
+        rec = step_round(self.net, actions, t)
+        for x in self.order:
+            obs = rec.deliveries[x]
+            self.nodes[x].observe(obs)
+            if isinstance(obs, Received):
+                self.heard.add(x)
+                if x not in self.informed and is_payload(obs.message):
+                    self.informed[x] = t
+        self.round = t + 1
+        return rec
+
+
 def run(
     net: Network,
     proto,
@@ -233,68 +313,15 @@ def run(
     *,
     collect_violations: list | None = None,
 ) -> Trace:
-    """Run a protocol for max_rounds rounds and return the full trace.
-
-    Every node runs its own process (``protocols.spawn``): each round the
-    engine asks every node for its action, executes the round, then hands
-    every node its observation.
-
-    Round 0 permits only the source to transmit; at any later round a node
-    may transmit only if it is the source or has received at least one
-    message. Violations raise; with ``collect_violations`` a list they are
-    recorded and the offending transmission is suppressed (legality probes).
+    """Run a protocol for max_rounds rounds and return the full trace: an
+    ``Execution`` stepped to its end.
 
     The run is deterministic: the same (net, proto, max_rounds) always
     yields an identical trace.
     """
-    if SOURCE not in net.labels:
-        raise UnknownLabel("network has no source node (label 0)")
-    if proto.setup is not None:
-        proto = proto.setup(net, max_rounds)
-        if proto.setup is not None:
-            raise ValueError("setup returned an unbound protocol")
-
-    from .protocols import spawn  # local import: avoids a cycle
-
-    order = sorted(net.labels)
-    nodes = {x: spawn(proto, x, tuple(sorted(net.neighbors(x))), net.c2_params) for x in order}
-    heard: set[int] = set()  # nodes that have received at least one message
-    informed: dict[int, int] = {SOURCE: 0}
-    rounds: list[RoundRecord] = []
-
-    for t in range(max_rounds):
-        actions: dict[int, Action] = {}
-        for x in order:
-            act = nodes[x].act(t)
-            if not isinstance(act, (Transmit, Listen, Inactive)):
-                raise TypeError(f"{proto.name} returned {act!r} for node {x}")
-            actions[x] = act
-
-        for x in order:
-            if not isinstance(actions[x], Transmit) or x == SOURCE:
-                continue
-            if t == 0:
-                err = NonSourceRoundZero(x, 0)
-            elif x not in heard:
-                err = SpontaneityViolation(x, t)
-            else:
-                continue
-            if collect_violations is None:
-                raise err
-            collect_violations.append(err)
-            actions[x] = LISTEN
-
-        rec = step_round(net, actions, t)
-        for x in order:
-            obs = rec.deliveries[x]
-            nodes[x].observe(obs)
-            if isinstance(obs, Received):
-                heard.add(x)
-                if x not in informed and is_payload(obs.message):
-                    informed[x] = t
-        rounds.append(rec)
-
-    return Trace(net, rounds, informed)
+    ex = Execution(net, proto, max_rounds, collect_violations=collect_violations)
+    rounds = [ex.step() for _ in range(max_rounds)]
+    return Trace(net, rounds, ex.informed)
 
 
 def completion_round(trace: Trace) -> int | None:

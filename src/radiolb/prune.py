@@ -10,8 +10,11 @@ a subset of networks that all share one event sequence, hence one advice
 string. Survivors share the events before t, hence the advice entries so
 far; under a fixed advice the stage-4 source is silent after round 0 and no
 edge joins two components, so round 3t-2 of a network is the union of its
-components'. Pruning runs advised stage 4 once per (component, tau) among
-the survivors (``c2.component_net``); one network is a one-vector family.
+components'. Pruning keeps one advised stage-4 run per (component, tau)
+among the survivors (``c2.component_net``) and carries it forward: step t
+plays rounds 3t-4..3t-2 and then appends the decided advice entry, so a
+run plays 3r-4 rounds in all. A pair drops out once no survivor uses it.
+One network is a one-vector family.
 Marking then pins the components that the decisive rounds depended on;
 every network agreeing with the chosen base on the marked components is
 guaranteed to be a survivor, so any unmarked component is free to vary.
@@ -79,13 +82,21 @@ def _prune(p3: Protocol, vectors, r: int, params: C2Params, op: str):
     and advice they share, and the smallest survivor's marks."""
     require_stage(p3, StageTag.PI3, op)
     survivors, events, entries, tables = list(vectors), [], [], []
+    # Every live run reads this one advice, whose entries grow as events are
+    # decided: a stage-4 middle node reads entry s only at its act in round
+    # 3s+1, so entry t may be appended once every run has played round 3t-2.
+    p4 = pi4_with_advice(p3, AdviceString(entries))
+    runs = {}  # (component, tau) -> its advised stage-4 run, carried forward
     for t in range(1, r):
-        p4 = pi4_with_advice(p3, AdviceString(tuple(entries)))
+        runs = {key: runs.get(key) for key in sorted(
+            {(i, tau) for tv in survivors for i, tau in enumerate(tv.taus)})}
         table = {}  # (component, tau) -> its middle transmitters in round 3t-2
-        for i, tau in sorted({(i, tau) for tv in survivors for i, tau in enumerate(tv.taus)}):
-            rec = core.run(component_net(params, i, tau), p4, 3 * t - 1).rounds[3 * t - 2]
-            table[i, tau] = [x for x, a in rec.actions.items()
-                             if x != SOURCE and isinstance(a, Transmit)]
+        for key in runs:
+            ex = runs[key] = runs[key] or core.Execution(component_net(params, *key), p4, 3 * r - 4)
+            while ex.round < 3 * t - 1:
+                rec = ex.step()
+            table[key] = [x for x, a in rec.actions.items()
+                          if x != SOURCE and isinstance(a, Transmit)]
         tables.append(table)
         seen = {tv: _event(_heard(table, tv), tv.taus, params) for tv in survivors}
         singles = [tv for tv in survivors if isinstance(seen[tv], Single)]

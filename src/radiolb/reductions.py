@@ -12,7 +12,8 @@ layers:
            nodes run a stage-1 replica of the source on the echo stream.
   stage 3  the source (given the full topology as a privileged input) sends
            only component descriptors <i, tau>. Middle nodes rebuild each
-           echo by simulating the named component from scratch.
+           echo by simulating the named component against the echoes so
+           far.
   stage 4  the source transmits the whole descriptor sequence once, as an
            advice string attached to the round-0 payload, then stays silent.
 
@@ -23,12 +24,15 @@ time: a stage-1 node feeds its base self one collapsed observation per
 round triple, and a stage 2-4 middle node feeds its previous-stage self the
 source column it rebuilds from echoes, descriptors or advice. Leaves run
 their previous-stage selves unchanged. The one memo is each stage-3
-protocol's map from descriptor prefix to rebuilt echo, shared by all its
-runs and dropped with the protocol.
+protocol's map from descriptor prefix to rebuilt echo; next to it the
+protocol keeps at most one component simulation per (component, tau),
+stepped on as its echo script grows. Both are shared by all the protocol's
+runs and dropped with it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import core
@@ -56,9 +60,14 @@ UNKNOWN_SENDER = -1
 
 @dataclass(frozen=True)
 class AdviceString:
-    """Per-round source messages for rounds 3t, t = 1..r-1: descriptor or phi."""
+    """Per-round source messages for rounds 3t, t = 1..r-1: descriptor or phi.
 
-    entries: tuple[ComponentDesc | None, ...]
+    ``entries`` is a tuple, except inside pruning, whose carried-forward
+    runs share one advice with a list of entries that grows as the events
+    are decided.
+    """
+
+    entries: Sequence[ComponentDesc | None]
 
     def entry(self, t: int) -> ComponentDesc | None:
         return self.entries[t - 1]
@@ -265,33 +274,64 @@ def to_pi2(p1: Protocol) -> Protocol:
 # Stage 3: topology descriptors
 # ---------------------------------------------------------------------------
 
-def _component_echo(p2: Protocol, params: C2Params, desc: ComponentDesc,
-                    echoes: list) -> Message | None:
-    """Simulate one component against a scripted source and return the
-    message of its lone middle-layer transmitter in the round right after
-    the script ends, or None when zero or several transmit.
+class _EchoSim:
+    """One component run against a scripted source, carried forward.
 
-    The script: payload at round 0, then ``echoes[s-1]`` (or silence) at
+    The script: payload at round 0, then ``script[s-1]`` (or silence) at
     round 3s. Middle nodes and the leaf run stage 2 on what they observe of
     the script and of each other, which matches their real behavior on any
-    network where the script matches the source. A descriptor that does
-    not yield exactly one transmitter cannot have come from a matching
+    network where the script matches the source. ``script`` holds the
+    entries played so far.
+    """
+
+    def __init__(self, p2: Protocol, params: C2Params, desc: ComponentDesc):
+        self.net = component_net(params, desc.component, desc.tau)
+        self.nodes = {x: spawn(p2, x, tuple(sorted(self.net.neighbors(x))), params)
+                      for x in sorted(self.net.labels - {SOURCE})}
+        self.script: list = []
+        self.round = 0
+        self.last = None  # the record of the last round played
+
+    def advance(self, echoes: list) -> Message | None:
+        """Play on through round 3*len(echoes)+1 under script ``echoes`` and
+        return the message of that round's lone middle-layer transmitter,
+        or None when zero or several transmit."""
+        for r in range(self.round, 3 * len(echoes) + 2):
+            actions = {x: node.act(r) for x, node in self.nodes.items()}
+            if r % 3 == 0 and r > 0:
+                self.script.append(echoes[r // 3 - 1])
+            msg = BroadcastPayload(PAYLOAD) if r == 0 else self.script[-1] if r % 3 == 0 else None
+            actions[SOURCE] = LISTEN if msg is None else Transmit(msg)
+            self.last = core.step_round(self.net, actions, r)
+            for x, node in self.nodes.items():
+                node.observe(self.last.deliveries[x])
+            self.round = r + 1
+        # the last round is a sub-round 1: only middle nodes can transmit
+        tx = [a.message for a in self.last.actions.values() if isinstance(a, Transmit)]
+        return tx[0] if len(tx) == 1 else None
+
+
+def _component_echo(p2: Protocol, params: C2Params, desc: ComponentDesc,
+                    echoes: list, sims: dict) -> Message | None:
+    """The message of component ``desc``'s lone middle-layer transmitter in
+    the round right after script ``echoes`` ends (see ``_EchoSim``), or None
+    when zero or several transmit.
+
+    ``sims`` holds at most one simulation per (component, tau). When its
+    script so far is a prefix of ``echoes`` it is stepped on from where it
+    stopped; otherwise (another network's echoes diverged from it) the
+    component is simulated again from round 0. A descriptor that does not
+    yield exactly one transmitter cannot have come from a matching
     execution (wrong-network advice); it maps to silence, keeping the run
     total and deterministic.
     """
-    net = component_net(params, desc.component, desc.tau)
-    nodes = {x: spawn(p2, x, tuple(sorted(net.neighbors(x))), params)
-             for x in sorted(net.labels - {SOURCE})}
-    for r in range(3 * len(echoes) + 2):
-        actions = {x: node.act(r) for x, node in nodes.items()}
-        script = BroadcastPayload(PAYLOAD) if r == 0 else echoes[r // 3 - 1] if r % 3 == 0 else None
-        actions[SOURCE] = LISTEN if script is None else Transmit(script)
-        rec = core.step_round(net, actions, r)
-        for x, node in nodes.items():
-            node.observe(rec.deliveries[x])
-    # the last round is a sub-round 1: only middle nodes can transmit
-    tx = [a.message for a in rec.actions.values() if isinstance(a, Transmit)]
-    return tx[0] if len(tx) == 1 else None
+    key = (desc.component, desc.tau)
+    sim = sims.pop(key, None)  # put back only once it has played on cleanly
+    if sim is None or sim.script != echoes[:len(sim.script)]:
+        sim = _EchoSim(p2, params, desc)
+    heard = sim.advance(echoes)
+    sims[key] = sim
+    return heard
 
 
 class _DescMiddle(_Middle):
@@ -317,15 +357,16 @@ class _DescMiddle(_Middle):
         return PHI if echo is None else Received(SOURCE, echo)
 
 
-def _make_pi3(p2: Protocol, taus: tuple[int, ...] | None, echoes: dict) -> Protocol:
+def _make_pi3(p2: Protocol, taus: tuple[int, ...] | None, echoes: dict, sims: dict) -> Protocol:
     params = p2.params
 
     # Every middle node of every network that hears the same descriptor
     # prefix rebuilds the same echo; across a prune's whole family that is
-    # one component simulation per distinct prefix instead of one per node.
+    # one echo per distinct prefix instead of one per node, and the
+    # component simulations behind them are carried forward in ``sims``.
     def echo(descs: tuple, earlier: list):
         if descs not in echoes:
-            echoes[descs] = _component_echo(p2, params, descs[-1], earlier)
+            echoes[descs] = _component_echo(p2, params, descs[-1], earlier, sims)
         return echoes[descs]
 
     def source():
@@ -343,7 +384,7 @@ def _make_pi3(p2: Protocol, taus: tuple[int, ...] | None, echoes: dict) -> Proto
     def setup(net: Network, max_rounds: int) -> Protocol:
         if net.c2_taus is None:
             raise ProtocolBindingError("stage-3 protocols run only on c2 networks")
-        return _make_pi3(p2, tuple(net.c2_taus), echoes)
+        return _make_pi3(p2, tuple(net.c2_taus), echoes, sims)
 
     return _staged(p2, StageTag.PI3, source, lambda me: _DescMiddle(me, echo),
                    setup=None if taus is not None else setup)
@@ -352,9 +393,10 @@ def _make_pi3(p2: Protocol, taus: tuple[int, ...] | None, echoes: dict) -> Proto
 def to_pi3(p2: Protocol) -> Protocol:
     """Restrict the source to component descriptors (stage 3). The returned
     protocol binds the network topology as the source's private input when a
-    run starts; it and every binding share one memo of rebuilt echoes."""
+    run starts; it and every binding share one memo of rebuilt echoes and
+    the component simulations behind them."""
     require_stage(p2, StageTag.PI2, "to_pi3")
-    return _make_pi3(p2, None, {})
+    return _make_pi3(p2, None, {}, {})
 
 
 # ---------------------------------------------------------------------------

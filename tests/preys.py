@@ -2,8 +2,9 @@
 
 These exercise paths the registry protocols never touch: leaf
 transmissions, an active source, content-dependent middle-layer behavior,
-a source that branches on sender identity, and pseudo-random but
-deterministic schedules.
+a source that branches on sender identity, a component named again and
+again by descriptors, pseudo-random but deterministic schedules, and one
+protocol that breaks legality.
 """
 
 from __future__ import annotations
@@ -159,3 +160,40 @@ def sender_answer_prey(params: C2Params) -> Protocol:
         return LISTEN
 
     return Protocol("sender-answer", step, params=params)
+
+
+def cyclic_prey(params: C2Params) -> Protocol:
+    """Middle nodes take turns forever: an informed middle node sends the
+    payload in every round t >= 1 with t = own label (mod m*k). Exactly one
+    node transmits per round, so the stage-3 source names a component in
+    every round and each component again and again."""
+    period = params.m * params.k
+
+    def step(ctx):
+        own = ctx.own_label
+        if own == SOURCE:
+            return Transmit(BroadcastPayload(PAYLOAD)) if ctx.round == 0 else LISTEN
+        if (layer_of(own, params) == 1 and ctx.round >= 1
+                and (ctx.round - own) % period == 0 and has_received_payload(ctx.history)):
+            return Transmit(BroadcastPayload(PAYLOAD))
+        return LISTEN
+
+    return Protocol("cyclic", step, params=params)
+
+
+def spontaneous_leaf_prey(params: C2Params) -> Protocol:
+    """An illegal prey: round-robin middle nodes, and every leaf transmits
+    in round 1 whether or not it has heard anything. A leaf that middle
+    node 1 does not reach breaks the spontaneity rule."""
+
+    def step(ctx):
+        own = ctx.own_label
+        if own == SOURCE:
+            return Transmit(BroadcastPayload(PAYLOAD)) if ctx.round == 0 else LISTEN
+        if layer_of(own, params) == 2:
+            return Transmit(Opaque(b"early")) if ctx.round == 1 else LISTEN
+        if ctx.round == own and has_received_payload(ctx.history):
+            return Transmit(BroadcastPayload(PAYLOAD))
+        return LISTEN
+
+    return Protocol("spontaneous-leaf", step, params=params)

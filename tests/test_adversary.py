@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
 
 from radiolb import (
     C2Params,
+    Protocol,
     SetFamily,
+    StageTag,
     TopologyVector,
     Witness,
     analyze,
@@ -29,9 +32,12 @@ from radiolb import (
     to_pi3,
 )
 from radiolb.c2 import enumerate_c2
-from radiolb.errors import FreeComponentMissing
+from radiolb.errors import FreeComponentMissing, UniverseTooLarge
+from radiolb.prune import PruneResult
+from radiolb.reductions import AdviceString
+from radiolb.selfam import SELECTIVITY_UNIVERSE_CAP
 
-from preys import leaf_ack_prey
+from preys import hash_prey, leaf_ack_prey
 
 
 def pi3_of(p0, params):
@@ -75,6 +81,31 @@ def test_derive_family_requires_free_component(params22):
     assert pr.free_component is None
     with pytest.raises(FreeComponentMissing):
         derive_family(pi4_with_advice(p3, pr.advice), pr, pr.free_component, 4, params22)
+
+
+class Simulated(Exception):
+    pass
+
+
+def unrunnable(params):
+    """A stage-4 stand-in whose first node process stops the run."""
+
+    def node(own, neighbors, _params):
+        raise Simulated
+
+    return Protocol("unrunnable", None, stage=StageTag.PI4, params=params, node=node)
+
+
+@pytest.mark.parametrize("k", [SELECTIVITY_UNIVERSE_CAP, SELECTIVITY_UNIVERSE_CAP + 1])
+def test_z_sweep_fails_fast_above_the_universe_cap(k):
+    # 2^k - 1 subsets Z: above is_selective's cap the sweep refuses before
+    # its first simulation; at the cap it starts simulating
+    params = C2Params(1, k)
+    base = TopologyVector((1,))
+    pr = PruneResult((), [base], AdviceString(()), base, frozenset(), 0)
+    expected = UniverseTooLarge if k > SELECTIVITY_UNIVERSE_CAP else Simulated
+    with pytest.raises(expected):
+        derive_family(unrunnable(params), pr, 0, 1, params)
 
 
 def test_success_table_matches_family_selection(params22):
@@ -195,3 +226,22 @@ def test_analyze_keeps_no_reference_to_the_protocol():
     del p0
     gc.collect()
     assert ref() is None
+
+
+def test_repeated_analyses_do_not_grow_memory():
+    # Carried component runs belong to one prune and live echo simulations
+    # to one stage-3 protocol: after the first analysis nothing accumulates.
+    params = C2Params(2, 3)
+    p0 = hash_prey(params, 0)
+    tracemalloc.start()
+    try:
+        analyze(p0, 5, params)
+        gc.collect()
+        first = tracemalloc.get_traced_memory()[0]
+        for _ in range(49):
+            analyze(p0, 5, params)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - first
+    finally:
+        tracemalloc.stop()
+    assert growth < 16_384

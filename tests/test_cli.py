@@ -236,3 +236,12 @@ def test_unknown_protocol_is_quoted_once(capsys):
     )
     assert (code, out) == (1, "")
     assert err == "error: unknown protocol 'nope'\n"
+
+
+def test_adversary_refuses_a_z_sweep_above_the_universe_cap(capsys):
+    # 131,071 networks fit the enumeration cap, but 2^17 - 1 subsets Z do not
+    code, out, err = invoke(
+        capsys, "adversary", "--m", "1", "--k", "17", "--protocol", "silent", "--budget", "1",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: Z-sweep over a universe of 17 exceeds cap 16\n"

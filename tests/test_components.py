@@ -157,17 +157,26 @@ def test_event_sequence_needs_a_c2_network(params12):
 
 def test_analysis_runs_only_single_components(monkeypatch):
     params = C2Params(2, 3)
-    sizes = []
+    sizes, stepped = [], []  # nodes per core.run call / per core.Execution
     real_run = core.run
 
     def recording_run(net, proto, max_rounds, **kwargs):
         sizes.append(net.n)
         return real_run(net, proto, max_rounds, **kwargs)
 
+    class RecordingExecution(core.Execution):
+        def __init__(self, net, proto, max_rounds, **kwargs):
+            stepped.append(net.n)
+            super().__init__(net, proto, max_rounds, **kwargs)
+
     monkeypatch.setattr(core, "run", recording_run)
+    monkeypatch.setattr(core, "Execution", RecordingExecution)
     for p0 in (round_robin(params), leaf_ack_prey(params)):
         p3 = transform_chain(p0, params, 3)
+        before = len(stepped)
         pr = run_prune(p3, 4, params)
+        assert len(stepped) > before  # prune's own runs are recorded
         assert pr.free_component is not None
         derive_family(pi4_with_advice(p3, pr.advice), pr, pr.free_component, 4, params)
     assert sizes and set(sizes) == {params.k + 2}
+    assert set(stepped) == {params.k + 2}

@@ -13,6 +13,7 @@ from radiolb import (
     PHI,
     BroadcastPayload,
     C2Params,
+    Execution,
     Network,
     Opaque,
     Received,
@@ -117,6 +118,17 @@ def test_run_zero_rounds():
     trace = run(net, round_robin(params), 0)
     assert trace.rounds == []
     assert trace.informed == {0: 0}
+
+
+def test_execution_steps_the_run_and_stops_at_its_bound(params22):
+    net = build_c2(params22, TopologyVector((2, 3)))
+    trace = run(net, round_robin(params22), 6)
+    ex = Execution(net, round_robin(params22), 6)
+    for rec in trace.rounds:
+        assert ex.step() == rec
+    assert ex.informed == trace.informed
+    with pytest.raises(ValueError):
+        ex.step()
 
 
 def test_non_source_round_zero_rejected(params12):
