@@ -21,7 +21,7 @@ from . import core
 from .c2 import C2Params, TopologyVector, build_c2, component_net, enumerate_c2, l1_index, l2_label
 from .core import Received, Transmit
 from .errors import FreeComponentMissing, UniverseTooLarge, WitnessInconsistency
-from .prune import PruneResult, run_prune
+from .prune import run_prune
 from .protocols import Protocol
 from .reductions import pi4_with_advice, transform_chain
 from .selfam import SELECTIVITY_UNIVERSE_CAP, mask_to_indices
@@ -54,30 +54,29 @@ class AdversaryOutcome:
     family: DerivedFamily | None
 
 
-def derive_family(
-    p4: Protocol,
-    pr: PruneResult,
-    free: int,
-    r: int,
-    params: C2Params,
-) -> DerivedFamily:
-    """Simulate the advised stage-4 protocol (advice ``pr.advice``) on the
-    free component alone (``c2.component_net``) for every adjacency subset
-    Z, where it acts exactly as in the base network's Z-variant.
+def _check_sweep_cap(params: C2Params) -> None:
+    """The Z-sweep covers all 2^k - 1 subsets Z, so it shares
+    ``is_selective``'s cap on the universe."""
+    if params.k > SELECTIVITY_UNIVERSE_CAP:
+        raise UniverseTooLarge(
+            f"Z-sweep over a universe of {params.k} exceeds cap {SELECTIVITY_UNIVERSE_CAP}")
+
+
+def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> DerivedFamily:
+    """Simulate the advised stage-4 protocol ``p4`` on the free component
+    alone (``c2.component_net``) for every adjacency subset Z, where it
+    acts exactly as in the base network's Z-variant.
 
     A middle index x joins set j when, on some variant where x is adjacent
     to the leaf, x transmits in round 3j+1 while the leaf has heard nothing
     through round 3j.
 
-    The sweep covers all 2^k - 1 subsets Z, so it shares ``is_selective``'s
-    cap on the universe and raises ``UniverseTooLarge`` before simulating
-    anything when k exceeds it.
+    Raises ``UniverseTooLarge`` before simulating anything when k exceeds
+    the sweep's cap.
     """
     if free is None:
         raise FreeComponentMissing("no free component to vary")
-    if params.k > SELECTIVITY_UNIVERSE_CAP:
-        raise UniverseTooLarge(
-            f"Z-sweep over a universe of {params.k} exceeds cap {SELECTIVITY_UNIVERSE_CAP}")
+    _check_sweep_cap(params)
     leaf = l2_label(params, free)
     sets = [0] * r
     first_success: dict[int, int | None] = {}
@@ -130,10 +129,13 @@ def analyze(p0: Protocol, r: int, params: C2Params) -> AdversaryOutcome:
 
     Every returned witness has been confirmed by a direct run of the
     original protocol. A None witness means every probe completed within
-    budget (the protocol survives on this family).
+    budget (the protocol survives on this family). A k above the Z-sweep's
+    cap is refused before anything runs, even where pruning would have
+    fallen back to the direct scan.
     """
     if r < 1:
         raise ValueError("budget must be >= 1")
+    _check_sweep_cap(params)
     p3 = transform_chain(p0, params, 3)
     pr = run_prune(p3, r, params)
     if pr.free_component is None:
@@ -141,7 +143,7 @@ def analyze(p0: Protocol, r: int, params: C2Params) -> AdversaryOutcome:
         # left to vary, so fall back to the direct exhaustive scan.
         return AdversaryOutcome(_direct_scan(p0, r, params), None)
     p4 = pi4_with_advice(p3, pr.advice)
-    df = derive_family(p4, pr, pr.free_component, r, params)
+    df = derive_family(p4, pr.free_component, r, params)
     for z in range(1, 1 << params.k):
         if df.first_success[z] is None:
             tv = pr.base_net.replace(pr.free_component, z)

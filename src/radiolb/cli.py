@@ -16,10 +16,11 @@ import sys
 from . import core
 from .adversary import analyze
 from .c2 import C2Params, build_c2, decode_c2, encode_c2, enumerate_c2
+from .core import SOURCE
 from .errors import RadioLBError
 from .prune import run_prune
 from .protocols import get_protocol
-from .reductions import advice_budget, make_advice, pi4_with_advice, transform_chain
+from .reductions import AdviceString, transform_chain
 from .selfam import (
     SetFamily,
     family_from_lines,
@@ -87,11 +88,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_transform(args) -> int:
     params, tv, net = _load_net(args.net)
     p0 = get_protocol(args.protocol, params)
-    proto = transform_chain(p0, params, min(args.stage, 3))
-    if args.stage == 4:
-        advice = make_advice(proto, net, advice_budget(args.rounds))
-        proto = pi4_with_advice(proto, advice)
-    trace = core.run(net, proto, args.rounds)
+    trace = core.run(net, transform_chain(p0, params, args.stage), args.rounds)
     for line in core.trace_to_jsonl(trace):
         print(line)
     report = {
@@ -100,7 +97,9 @@ def _cmd_transform(args) -> int:
         "stage": args.stage,
     }
     if args.stage == 4:
-        report["advice"] = advice.encode()
+        # the advice the source sent with the payload; no round, no advice
+        sent = trace.rounds[0].actions[SOURCE].message.advice if trace.rounds else AdviceString(())
+        report["advice"] = sent.encode()
     _emit(report)
     return 0
 

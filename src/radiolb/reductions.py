@@ -23,17 +23,19 @@ staged node is a local simulation carried forward one observation at a
 time: a stage-1 node feeds its base self one collapsed observation per
 round triple, and a stage 2-4 middle node feeds its previous-stage self the
 source column it rebuilds from echoes, descriptors or advice. Leaves run
-their previous-stage selves unchanged. The one memo is each stage-3
-protocol's map from descriptor prefix to rebuilt echo; next to it the
-protocol keeps at most one component simulation per (component, tau),
-stepped on as its echo script grows. Both are shared by all the protocol's
-runs and dropped with it.
+their previous-stage selves unchanged. The one cache is each stage-3
+protocol's set of component simulations, at most one per (component, tau):
+each records the echo it rebuilt after every prefix of its script, so a
+prefix it has played is answered from the record and a longer one by
+stepping on. The simulations are shared by all the protocol's runs and
+dropped with it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 from . import core
 from .c2 import C2Params, component_net, component_of, layer_of
@@ -100,11 +102,6 @@ def require_stage(proto: Protocol, stage: StageTag, op: str) -> None:
         raise StageMismatch(f"{op} needs a {stage.value} protocol, got {proto.stage.value}")
     if proto.params is None:
         raise StageMismatch(f"{op} needs a protocol carrying family parameters")
-
-
-def advice_budget(max_rounds: int) -> int:
-    """Base rounds whose advice a stage-4 run of max_rounds rounds uses."""
-    return 1 if max_rounds < 2 else (max_rounds - 2) // 3 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +179,11 @@ class _Middle:
     in each source round 3s (s >= 1), phi in sub-round 1 (no middle node
     can hear another) and the real sub-round-2 observation (leaf traffic).
     Observations are handed on at the node's next sub-round-1 act, where
-    all of a stage's checks belong."""
+    all of a stage's checks belong. The deferral is what the advice budget
+    counts on: a stage-4 node reads advice entry s only when it acts in
+    round 3s+1. Handed on at once, the round-3s observation would read it
+    a round earlier, and a run that stops after round 3s would need an
+    entry its middle nodes never act on."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -281,7 +282,9 @@ class _EchoSim:
     round 3s. Middle nodes and the leaf run stage 2 on what they observe of
     the script and of each other, which matches their real behavior on any
     network where the script matches the source. ``script`` holds the
-    entries played so far.
+    entries played so far, and ``heard[s]`` the message of the lone
+    middle-layer transmitter in round 3s+1 (None when zero or several
+    transmit) for every s played.
     """
 
     def __init__(self, p2: Protocol, params: C2Params, desc: ComponentDesc):
@@ -289,45 +292,46 @@ class _EchoSim:
         self.nodes = {x: spawn(p2, x, tuple(sorted(self.net.neighbors(x))), params)
                       for x in sorted(self.net.labels - {SOURCE})}
         self.script: list = []
+        self.heard: list = []
         self.round = 0
-        self.last = None  # the record of the last round played
 
     def advance(self, echoes: list) -> Message | None:
-        """Play on through round 3*len(echoes)+1 under script ``echoes`` and
-        return the message of that round's lone middle-layer transmitter,
-        or None when zero or several transmit."""
+        """``heard[len(echoes)]`` under script ``echoes``, which must agree
+        with ``script`` on their common prefix; plays on through round
+        3*len(echoes)+1 if that round is still ahead."""
         for r in range(self.round, 3 * len(echoes) + 2):
             actions = {x: node.act(r) for x, node in self.nodes.items()}
             if r % 3 == 0 and r > 0:
                 self.script.append(echoes[r // 3 - 1])
             msg = BroadcastPayload(PAYLOAD) if r == 0 else self.script[-1] if r % 3 == 0 else None
             actions[SOURCE] = LISTEN if msg is None else Transmit(msg)
-            self.last = core.step_round(self.net, actions, r)
+            rec = core.step_round(self.net, actions, r)
             for x, node in self.nodes.items():
-                node.observe(self.last.deliveries[x])
+                node.observe(rec.deliveries[x])
+            if r % 3 == 1:  # only middle nodes can transmit in sub-round 1
+                tx = [a.message for a in rec.actions.values() if isinstance(a, Transmit)]
+                self.heard.append(tx[0] if len(tx) == 1 else None)
             self.round = r + 1
-        # the last round is a sub-round 1: only middle nodes can transmit
-        tx = [a.message for a in self.last.actions.values() if isinstance(a, Transmit)]
-        return tx[0] if len(tx) == 1 else None
+        return self.heard[len(echoes)]
 
 
-def _component_echo(p2: Protocol, params: C2Params, desc: ComponentDesc,
-                    echoes: list, sims: dict) -> Message | None:
+def _component_echo(p2: Protocol, params: C2Params, sims: dict, desc: ComponentDesc,
+                    echoes: list) -> Message | None:
     """The message of component ``desc``'s lone middle-layer transmitter in
     the round right after script ``echoes`` ends (see ``_EchoSim``), or None
     when zero or several transmit.
 
     ``sims`` holds at most one simulation per (component, tau). When its
-    script so far is a prefix of ``echoes`` it is stepped on from where it
-    stopped; otherwise (another network's echoes diverged from it) the
-    component is simulated again from round 0. A descriptor that does not
-    yield exactly one transmitter cannot have come from a matching
-    execution (wrong-network advice); it maps to silence, keeping the run
-    total and deterministic.
+    script and ``echoes`` agree on their common prefix it answers from its
+    record, or steps on from where it stopped; otherwise (another
+    network's echoes diverged from it) the component is simulated again
+    from round 0. A descriptor that does not yield exactly one transmitter
+    cannot have come from a matching execution (wrong-network advice); it
+    maps to silence, keeping the run total and deterministic.
     """
     key = (desc.component, desc.tau)
     sim = sims.pop(key, None)  # put back only once it has played on cleanly
-    if sim is None or sim.script != echoes[:len(sim.script)]:
+    if sim is None or sim.script[:len(echoes)] != echoes[:len(sim.script)]:
         sim = _EchoSim(p2, params, desc)
     heard = sim.advance(echoes)
     sims[key] = sim
@@ -342,32 +346,21 @@ class _DescMiddle(_Middle):
     def __init__(self, inner, echo):
         super().__init__(inner)
         self.echo = echo
-        self.descs: list = []
         self.echoes: list = []
 
     def _from_source(self, s: int, obs):
-        desc = None
+        echo = None
         if isinstance(obs, Received):
             if not isinstance(obs.message, ComponentDesc):
                 raise ProtocolBindingError(f"expected a component descriptor at round {3 * s}")
-            desc = obs.message
-        self.descs.append(desc)
-        echo = None if desc is None else self.echo(tuple(self.descs), self.echoes)
+            echo = self.echo(obs.message, self.echoes)
         self.echoes.append(echo)
         return PHI if echo is None else Received(SOURCE, echo)
 
 
-def _make_pi3(p2: Protocol, taus: tuple[int, ...] | None, echoes: dict, sims: dict) -> Protocol:
+def _make_pi3(p2: Protocol, taus: tuple[int, ...] | None, sims: dict) -> Protocol:
     params = p2.params
-
-    # Every middle node of every network that hears the same descriptor
-    # prefix rebuilds the same echo; across a prune's whole family that is
-    # one echo per distinct prefix instead of one per node, and the
-    # component simulations behind them are carried forward in ``sims``.
-    def echo(descs: tuple, earlier: list):
-        if descs not in echoes:
-            echoes[descs] = _component_echo(p2, params, descs[-1], earlier, sims)
-        return echoes[descs]
+    echo = partial(_component_echo, p2, params, sims)
 
     def source():
         if taus is None:
@@ -384,7 +377,7 @@ def _make_pi3(p2: Protocol, taus: tuple[int, ...] | None, echoes: dict, sims: di
     def setup(net: Network, max_rounds: int) -> Protocol:
         if net.c2_taus is None:
             raise ProtocolBindingError("stage-3 protocols run only on c2 networks")
-        return _make_pi3(p2, tuple(net.c2_taus), echoes, sims)
+        return _make_pi3(p2, tuple(net.c2_taus), sims)
 
     return _staged(p2, StageTag.PI3, source, lambda me: _DescMiddle(me, echo),
                    setup=None if taus is not None else setup)
@@ -393,10 +386,10 @@ def _make_pi3(p2: Protocol, taus: tuple[int, ...] | None, echoes: dict, sims: di
 def to_pi3(p2: Protocol) -> Protocol:
     """Restrict the source to component descriptors (stage 3). The returned
     protocol binds the network topology as the source's private input when a
-    run starts; it and every binding share one memo of rebuilt echoes and
-    the component simulations behind them."""
+    run starts; it and every binding share the component simulations that
+    rebuild the echoes."""
     require_stage(p2, StageTag.PI2, "to_pi3")
-    return _make_pi3(p2, None, {}, {})
+    return _make_pi3(p2, None, {})
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +460,9 @@ def to_pi4(p3: Protocol) -> Protocol:
         raise ProtocolBindingError("stage-4 protocol used without setup binding")
 
     def setup(net: Network, max_rounds: int) -> Protocol:
-        return pi4_with_advice(p3, make_advice(p3, net, advice_budget(max_rounds)))
+        # the last sub-round-1 act, in round 3s+1 <= max_rounds-1, reads
+        # entry s, the last of a budget of s+1 base rounds
+        return pi4_with_advice(p3, make_advice(p3, net, (max_rounds + 1) // 3))
 
     return Protocol(f"pi4[{p3.name}]", None, setup=setup, stage=StageTag.PI4,
                     params=p3.params, node=unbound)

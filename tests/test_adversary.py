@@ -33,8 +33,6 @@ from radiolb import (
 )
 from radiolb.c2 import enumerate_c2
 from radiolb.errors import FreeComponentMissing, UniverseTooLarge
-from radiolb.prune import PruneResult
-from radiolb.reductions import AdviceString
 from radiolb.selfam import SELECTIVITY_UNIVERSE_CAP
 
 from preys import hash_prey, leaf_ack_prey
@@ -56,7 +54,7 @@ def test_silent_derives_an_empty_family(params22):
     p0 = silent_l1(params22)
     p3 = pi3_of(p0, params22)
     pr = run_prune(p3, 2, params22)
-    df = derive_family(pi4_with_advice(p3, pr.advice), pr, pr.free_component, 2, params22)
+    df = derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, 2, params22)
     assert all(f == 0 for f in df.sets)
     assert all(v is None for v in df.first_success.values())
 
@@ -66,7 +64,7 @@ def test_singletons_recover_their_structure(params22):
     p3 = pi3_of(p0, params22)
     pr = run_prune(p3, 2, params22)
     assert pr.free_component == 0
-    df = derive_family(pi4_with_advice(p3, pr.advice), pr, 0, 2, params22)
+    df = derive_family(pi4_with_advice(p3, pr.advice), 0, 2, params22)
     # within budget 2 only base round 1 fires: index 0 of the free component
     assert df.sets == (0, 0b01)
     assert df.first_success[0b01] == 4
@@ -80,7 +78,7 @@ def test_derive_family_requires_free_component(params22):
     pr = run_prune(p3, 4, params22)
     assert pr.free_component is None
     with pytest.raises(FreeComponentMissing):
-        derive_family(pi4_with_advice(p3, pr.advice), pr, pr.free_component, 4, params22)
+        derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, 4, params22)
 
 
 class Simulated(Exception):
@@ -101,11 +99,9 @@ def test_z_sweep_fails_fast_above_the_universe_cap(k):
     # 2^k - 1 subsets Z: above is_selective's cap the sweep refuses before
     # its first simulation; at the cap it starts simulating
     params = C2Params(1, k)
-    base = TopologyVector((1,))
-    pr = PruneResult((), [base], AdviceString(()), base, frozenset(), 0)
     expected = UniverseTooLarge if k > SELECTIVITY_UNIVERSE_CAP else Simulated
     with pytest.raises(expected):
-        derive_family(unrunnable(params), pr, 0, 1, params)
+        derive_family(unrunnable(params), 0, 1, params)
 
 
 def test_success_table_matches_family_selection(params22):
@@ -118,7 +114,7 @@ def test_success_table_matches_family_selection(params22):
             pr = run_prune(p3, r, params22)
             if pr.free_component is None:
                 continue
-            df = derive_family(pi4_with_advice(p3, pr.advice), pr, pr.free_component, r, params22)
+            df = derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, r, params22)
             for z in range(1, 1 << params22.k):
                 hits = [j for j, f in enumerate(df.sets) if bin(f & z).count("1") == 1]
                 if df.first_success[z] is None:
@@ -218,7 +214,7 @@ def test_cross_check_accepts_true_witness(params22):
 
 def test_analyze_keeps_no_reference_to_the_protocol():
     # Nothing outlives an analysis: no module-level cache holds the
-    # protocol (or its stage-3 echo memo) once the caller drops it.
+    # protocol (or its stage-3 echo simulations) once the caller drops it.
     params = C2Params(2, 3)
     p0 = leaf_ack_prey(params)
     ref = weakref.ref(p0)

@@ -2,7 +2,8 @@
 
 Pruning keeps one advised stage-4 run per (component, tau) and steps it
 on as the advice grows; a stage-3 protocol keeps one echo simulation per
-(component, tau) and steps it on as the echo script grows. The reference
+(component, tau), steps it on as the echo script grows and answers a
+shorter script that agrees with it from its record. The reference
 below is the pruning routine that restarted every component run at round 0
 for each t. The round-count tests count the engine rounds played on each
 component network and fail for any routine that replays.
@@ -167,14 +168,37 @@ def test_echo_rebuild_steps_each_component_once(monkeypatch):
     assert rounds and max(rounds.values()) <= 3 * 24 + 2, rounds
 
 
-@pytest.mark.parametrize("make_prey", [cyclic_prey, relay_prey, lambda params: hash_prey(params, 1)],
-                         ids=["cyclic", "relay", "hash-1"])
+def test_echo_simulation_ahead_answers_a_shorter_prefix(monkeypatch):
+    # Round-robin on (2,2): component 1's middle node 3 transmits alone in
+    # base round 3, so on taus (1,1) and (2,1) the source describes it as
+    # (1,1) after the same echoes. The (1,1) simulation carried from the
+    # first run is ahead of the second run's script and agrees with it, so
+    # it answers from its record; rebuilding it would replay 14 rounds
+    # more, 22 in all.
+    params = C2Params(2, 2)
+    rounds = recorded_nets(monkeypatch, reductions)
+    p3 = transform_chain(round_robin(params), params, 3)
+    core.run(build_c2(params, TopologyVector((1, 1))), p3, 30)
+    rounds.clear()
+    core.run(build_c2(params, TopologyVector((2, 1))), p3, 30)
+    assert sum(rounds.values()) <= 8, rounds
+
+
+@pytest.mark.parametrize("make_prey", [cyclic_prey, relay_prey, lambda params: hash_prey(params, 1),
+                                       lambda params: hash_prey(params, 34)],
+                         ids=["cyclic", "relay", "hash-1", "hash-34"])
 def test_shared_echo_simulations_match_fresh_ones(make_prey):
     # One stage-3 protocol serves every network in turn, so its echo
     # simulations meet scripts that diverge from the ones they have played.
+    # In the A, B, A order hash-34's (1, 3) simulation diverges on B and
+    # again on A, and is rebuilt each time, where a stale answer would show
+    # in the trace; the last, shorter run on A is answered from the longer
+    # script.
     params = C2Params(2, 2)
-    shared = transform_chain(make_prey(params), params, 3)
-    for tv in enumerate_c2(params):
-        net = build_c2(params, tv)
-        fresh = transform_chain(make_prey(params), params, 3)
-        assert core.run(net, shared, 27) == core.run(net, fresh, 27), tv
+    a, b = TopologyVector((1, 3)), TopologyVector((2, 3))
+    for order in ([(tv, 27) for tv in enumerate_c2(params)], [(a, 27), (b, 27), (a, 27), (a, 12)]):
+        shared = transform_chain(make_prey(params), params, 3)
+        for tv, rounds in order:
+            net = build_c2(params, tv)
+            fresh = transform_chain(make_prey(params), params, 3)
+            assert core.run(net, shared, rounds) == core.run(net, fresh, rounds), (tv, rounds)

@@ -239,9 +239,12 @@ def test_unknown_protocol_is_quoted_once(capsys):
 
 
 def test_adversary_refuses_a_z_sweep_above_the_universe_cap(capsys):
-    # 131,071 networks fit the enumeration cap, but 2^17 - 1 subsets Z do not
-    code, out, err = invoke(
-        capsys, "adversary", "--m", "1", "--k", "17", "--protocol", "silent", "--budget", "1",
-    )
-    assert (code, out) == (1, "")
-    assert err == "error: Z-sweep over a universe of 17 exceeds cap 16\n"
+    # 131,071 networks fit the enumeration cap, but 2^17 - 1 subsets Z do
+    # not; from budget 2 on, pruning would first run every network's
+    # components, so the refusal comes before it
+    for budget in ("1", "2"):
+        code, out, err = invoke(
+            capsys, "adversary", "--m", "1", "--k", "17", "--protocol", "silent", "--budget", budget,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: Z-sweep over a universe of 17 exceeds cap 16\n"

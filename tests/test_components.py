@@ -144,7 +144,7 @@ def test_component_analysis_matches_whole_networks(m, k):
                 assert mark_components(p3, net, r) == whole_marks(decisive, params)
             p4 = pi4_with_advice(p3, pr.advice)
             for free in range(m):
-                assert derive_family(p4, pr, free, r, params) == whole_derive_family(
+                assert derive_family(p4, free, r, params) == whole_derive_family(
                     p4, pr, free, r, params), (p0.name, r, free)
 
 
@@ -177,6 +177,6 @@ def test_analysis_runs_only_single_components(monkeypatch):
         pr = run_prune(p3, 4, params)
         assert len(stepped) > before  # prune's own runs are recorded
         assert pr.free_component is not None
-        derive_family(pi4_with_advice(p3, pr.advice), pr, pr.free_component, 4, params)
+        derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, 4, params)
     assert sizes and set(sizes) == {params.k + 2}
     assert set(stepped) == {params.k + 2}

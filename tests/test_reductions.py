@@ -15,6 +15,8 @@ import dataclasses
 import pytest
 
 from radiolb import (
+    LISTEN,
+    PHI,
     SOURCE,
     AdviceString,
     BroadcastPayload,
@@ -34,6 +36,7 @@ from radiolb import (
     run,
     selfam_driven,
     silent_l1,
+    spawn,
     to_pi1,
     to_pi2,
     to_pi3,
@@ -41,7 +44,7 @@ from radiolb import (
     trace_to_jsonl,
 )
 from radiolb.c2 import layer_of
-from radiolb.errors import StageMismatch
+from radiolb.errors import ProtocolBindingError, StageMismatch
 from radiolb.reductions import transform_chain
 
 from preys import hash_prey, leaf_ack_prey, relay_prey
@@ -334,6 +337,26 @@ def test_wrong_advice_changes_behavior_somewhere(params22):
             if trace_to_jsonl(own) != trace_to_jsonl(swapped):
                 diverged.append((n_tv, m_tv))
     assert diverged, "swapped advice never changed any trace"
+
+
+def test_short_advice_is_refused_at_the_act_that_reads_it(params22):
+    # Entry s is read at the middle nodes' act in round 3s+1, so empty
+    # advice carries a run through round 3 and is refused in round 4.
+    p3 = to_pi3(to_pi2(to_pi1(round_robin(params22), params22)))
+    p4 = pi4_with_advice(p3, AdviceString(()))
+    net = build_c2(params22, TopologyVector((1, 1)))
+    assert len(run(net, p4, 4).rounds) == 4
+    with pytest.raises(ProtocolBindingError, match=r"^advice has 0 entries, round 4 needs 1$"):
+        run(net, p4, 5)
+
+
+def test_middle_node_without_advice_refuses_to_act(params22):
+    p3 = to_pi3(to_pi2(to_pi1(round_robin(params22), params22)))
+    node = spawn(pi4_with_advice(p3, AdviceString(())), 1, (SOURCE, 5), params22)
+    assert node.act(0) == LISTEN
+    node.observe(PHI)  # the round-0 payload, and the advice with it, never arrived
+    with pytest.raises(ProtocolBindingError, match=r"^middle node saw no advice in round 0$"):
+        node.act(1)
 
 
 # ---------------------------------------------------------------------------
