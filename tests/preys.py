@@ -2,8 +2,8 @@
 
 These exercise paths the registry protocols never touch: leaf
 transmissions, an active source, content-dependent middle-layer behavior,
-a source that branches on sender identity, a component named again and
-again by descriptors, pseudo-random but deterministic schedules, and one
+sources that branch on sender identity, a component named again and again
+by descriptors, pseudo-random but deterministic schedules, and one
 protocol that breaks legality.
 """
 
@@ -50,7 +50,7 @@ def leaf_ack_prey(params: C2Params) -> Protocol:
     return Protocol("leaf-ack", step, params=params)
 
 
-def hash_prey(params: C2Params, seed: int) -> Protocol:
+def hash_prey(params: C2Params, seed: int, *, source_sees_senders: bool = False) -> Protocol:
     """Pseudo-random but fully deterministic prey.
 
     Every informed node (and the source at any time) decides each round
@@ -58,21 +58,23 @@ def hash_prey(params: C2Params, seed: int) -> Protocol:
     arbitrary transmission patterns arise: active sources, leaf chatter,
     simultaneous source+leaf rounds, non-payload traffic. Sender labels are
     deliberately left out of the hash: a bare echo cannot preserve them, so
-    source behavior must not depend on them.
+    source behavior must not depend on them. ``source_sees_senders`` puts
+    them back into the source's hash (see ``sender_hash_prey``).
     """
     import hashlib
 
-    def fingerprint(history) -> str:
+    def fingerprint(history, senders: bool) -> str:
         parts = []
         for obs in history:
             if isinstance(obs, Received):
                 msg = obs.message
                 if isinstance(msg, BroadcastPayload):
-                    parts.append("mu" + msg.data.hex())
+                    part = "mu" + msg.data.hex()
                 elif isinstance(msg, Opaque):
-                    parts.append("op" + msg.data.hex())
+                    part = "op" + msg.data.hex()
                 else:
-                    parts.append(f"cd{msg.component}:{msg.tau}")
+                    part = f"cd{msg.component}:{msg.tau}"
+                parts.append(f"{part}@{obs.sender}" if senders else part)
             else:
                 parts.append("phi")
         return ",".join(parts)
@@ -87,7 +89,8 @@ def hash_prey(params: C2Params, seed: int) -> Protocol:
         )
         if not allowed:
             return LISTEN
-        text = f"{seed}:{ctx.own_label}:{ctx.round}:{fingerprint(ctx.history)}"
+        senders = source_sees_senders and ctx.own_label == SOURCE
+        text = f"{seed}:{ctx.own_label}:{ctx.round}:{fingerprint(ctx.history, senders)}"
         digest = hashlib.blake2b(text.encode(), digest_size=2).digest()
         roll = digest[0] % 4
         if roll == 0:
@@ -96,7 +99,16 @@ def hash_prey(params: C2Params, seed: int) -> Protocol:
             return Transmit(Opaque(bytes([digest[1]])))
         return LISTEN
 
-    return Protocol(f"hash-{seed}", step, params=params)
+    name = f"sender-hash-{seed}" if source_sees_senders else f"hash-{seed}"
+    return Protocol(name, step, params=params)
+
+
+def sender_hash_prey(params: C2Params, seed: int) -> Protocol:
+    """``hash_prey`` whose source also hashes the sender of each reception
+    (``@<sender>``). Legal, and sender-sensitive in the source only: a
+    stage-2 echo cannot carry the sender, so the staged ladder is not exact
+    for it."""
+    return hash_prey(params, seed, source_sees_senders=True)
 
 
 def relay_prey(params: C2Params) -> Protocol:

@@ -17,6 +17,7 @@ from radiolb import (
     Witness,
     analyze,
     build_c2,
+    check_legality,
     completion_round,
     cross_check,
     derive_family,
@@ -32,10 +33,10 @@ from radiolb import (
     to_pi3,
 )
 from radiolb.c2 import enumerate_c2
-from radiolb.errors import FreeComponentMissing, UniverseTooLarge
+from radiolb.errors import FreeComponentMissing, UniverseTooLarge, WitnessInconsistency
 from radiolb.selfam import SELECTIVITY_UNIVERSE_CAP
 
-from preys import hash_prey, leaf_ack_prey
+from preys import hash_prey, leaf_ack_prey, sender_hash_prey
 
 
 def pi3_of(p0, params):
@@ -194,6 +195,25 @@ def test_sweep_soundness_for_arbitrary_preys(seed, params22):
         w = find_witness(p0, budget, params22)
         if w is not None:
             assert w.verified and cross_check(p0, w, params22)
+
+
+def test_sender_hash_prey_is_legal(params22):
+    p0 = sender_hash_prey(params22, 123)
+    for tv in enumerate_c2(params22):
+        assert check_legality(p0, build_c2(params22, tv), 40) == []
+
+
+@pytest.mark.xfail(strict=True, raises=WitnessInconsistency,
+                   reason="stage 2 echoes drop the sender a sender-sensitive source reads")
+def test_sender_sensitive_source_gets_a_witness_or_none(params22):
+    # sender-hash-123 is legal on every (2,2) network, but its stage-2
+    # source replica hears echoes under UNKNOWN_SENDER, so at budgets 4
+    # and 5 the candidate witness (1,1) completes in a direct run and
+    # analyze raises. An exact ladder makes every budget verify.
+    p0 = sender_hash_prey(params22, 123)
+    for budget in range(1, 7):
+        w = find_witness(p0, budget, params22)
+        assert w is None or (w.verified and cross_check(p0, w, params22))
 
 
 # ---------------------------------------------------------------------------
