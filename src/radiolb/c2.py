@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from .core import Network
@@ -131,21 +132,7 @@ def enumerate_c2(params: C2Params, cap: int | None = None) -> Iterator[TopologyV
     limit = enumeration_cap() if cap is None else cap
     if total > limit:
         raise EnumerationTooLarge(f"family has {total} networks, cap is {limit}")
-
-    def gen():
-        taus = [1] * params.m
-        top = (1 << params.k) - 1
-        while True:
-            yield TopologyVector(tuple(taus))
-            i = params.m - 1
-            while i >= 0 and taus[i] == top:
-                taus[i] = 1
-                i -= 1
-            if i < 0:
-                return
-            taus[i] += 1
-
-    return gen()
+    return map(TopologyVector, product(range(1, 1 << params.k), repeat=params.m))
 
 
 def encode_c2(params: C2Params, tv: TopologyVector) -> str:

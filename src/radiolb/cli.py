@@ -23,13 +23,13 @@ from .protocols import get_protocol
 from .reductions import AdviceString, transform_chain
 from .selfam import (
     SetFamily,
-    family_from_lines,
     family_to_lines,
     global_round_bound,
     greedy_selective,
     is_selective,
     mask_to_indices,
     min_selective_size,
+    read_family,
     size_bound,
     size_bound_in_range,
 )
@@ -143,14 +143,9 @@ def _cmd_adversary(args) -> int:
     return 0
 
 
-def _read_family(path: str) -> SetFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        return family_from_lines(fh.read().splitlines())
-
-
 def _cmd_selfam(args) -> int:
     if args.verb == "verify":
-        fam = _read_family(args.family)
+        fam = read_family(args.family)
         n = fam.universe if args.n is None else args.n
         if n != fam.universe:
             raise ValueError(f"--n {n} disagrees with family universe {fam.universe}")

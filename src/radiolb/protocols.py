@@ -32,7 +32,7 @@ from .core import (
     is_payload,
 )
 from .errors import IndexOutOfUniverse
-from .selfam import SetFamily
+from .selfam import SetFamily, read_family
 
 
 class StageTag(Enum):
@@ -182,12 +182,7 @@ REGISTRY = {
 def get_protocol(name: str, params: C2Params) -> Protocol:
     """Resolve a CLI protocol name; 'selfam:<file>' loads a family file."""
     if name.startswith("selfam:"):
-        from .selfam import family_from_lines
-
-        path = name.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
-            fam = family_from_lines(fh.read().splitlines())
-        return selfam_driven(params, fam)
+        return selfam_driven(params, read_family(name.split(":", 1)[1]))
     try:
         factory = REGISTRY[name]
     except KeyError:

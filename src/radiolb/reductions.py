@@ -21,14 +21,15 @@ Middle- and leaf-layer transmissions are identical, round for round, across
 all four stages; only the source's column of the trace changes. Every
 staged node is a local simulation carried forward one observation at a
 time: a stage-1 node feeds its base self one collapsed observation per
-round triple, and a stage 2-4 middle node feeds its previous-stage self the
-source column it rebuilds from echoes, descriptors or advice. Leaves run
-their previous-stage selves unchanged. The one cache is each stage-3
-protocol's set of component simulations, at most one per (component, tau):
-each records the echo it rebuilt after every prefix of its script, so a
-prefix it has played is answered from the record and a longer one by
-stepping on. The simulations are shared by all the protocol's runs and
-dropped with it.
+round triple, and a stage 2-4 middle node feeds its stage-1 self through a
+column, one step per stage above 1, that rebuilds what the stage-1 source
+sent from advice (stage 4), descriptors (stage 3) and echoes (stage 2).
+Leaves run their previous-stage selves unchanged. The one cache is each
+stage-3 protocol's set of component simulations, at most one per
+(component, tau): each records the echo it rebuilt after every prefix of
+its script, so a prefix it has played is answered from the record and a
+longer one by stepping on. The simulations are shared by all the
+protocol's runs and dropped with it.
 """
 
 from __future__ import annotations
@@ -174,32 +175,35 @@ class _Source:
 
 
 class _Middle:
-    """Stage 2-4 middle node around its previous-stage self. The self sees
-    the node's round-0 payload with any advice stripped, ``_from_source``
-    in each source round 3s (s >= 1), phi in sub-round 1 (no middle node
-    can hear another) and the real sub-round-2 observation (leaf traffic).
-    Observations are handed on at the node's next sub-round-1 act, where
-    all of a stage's checks belong. The deferral is what the advice budget
-    counts on: a stage-4 node reads advice entry s only when it acts in
-    round 3s+1. Handed on at once, the round-3s observation would read it
-    a round earlier, and a run that stops after round 3s would need an
-    entry its middle nodes never act on."""
+    """Stage 2-4 middle node: its stage-1 self, fed through ``column``.
 
-    def __init__(self, inner):
-        self.inner = inner
+    The column holds one step per stage above 1, the current stage's first.
+    Each step is called as ``step(s, obs)`` on the observation of round 3s,
+    round 0 included, and hands the next step what a source one stage lower
+    would have sent; the last step yields the stage-1 source's message. The
+    stage-1 self sees that in rounds 3s, phi in sub-round 1 (a middle node
+    of a c2 network cannot hear another) and the real sub-round-2
+    observation (leaf traffic). Observations are handed on at the node's
+    next sub-round-1 act, where the column's checks raise. The deferral is
+    what the advice budget counts on: a stage-4 node reads advice entry s
+    only when it acts in round 3s+1. Handed on at once, the round-3s
+    observation would read it a round earlier, and a run that stops after
+    round 3s would need an entry its middle nodes never act on.
+    """
+
+    def __init__(self, inner: _Phased, column: tuple):
+        self.inner, self.column = inner, column
         self.pending: list = []
         self.rounds = 0
 
     def act(self, round: int):
         if round % 3 != 1:
             return LISTEN
-        self._check(round)
         for obs in self.pending:
             r, self.rounds = self.rounds, self.rounds + 1
-            if r == 0:
-                obs = _strip_advice(obs)
-            elif r % 3 == 0:
-                obs = self._from_source(r // 3, obs)
+            if r % 3 == 0:
+                for step in self.column:
+                    obs = step(r // 3, obs)
             elif r % 3 == 1:
                 obs = PHI
             self.inner.observe(obs)
@@ -209,21 +213,12 @@ class _Middle:
     def observe(self, obs) -> None:
         self.pending.append(obs)
 
-    def _check(self, round: int) -> None:
-        pass
 
-
-def _strip_advice(obs):
-    if isinstance(obs, Received) and isinstance(obs.message, BroadcastPayload):
-        if obs.message.advice is not None:
-            return Received(obs.sender, BroadcastPayload(obs.message.data, None))
-    return obs
-
-
-def _staged(inner: Protocol, stage: StageTag, source, middle, setup=None) -> Protocol:
+def _staged(inner: Protocol, stage: StageTag, source, step, setup=None) -> Protocol:
     """A stage 2-4 protocol over ``inner``: ``source()`` builds the source's
-    node, ``middle(self)`` wraps a middle node's previous-stage self, and a
-    leaf is its previous-stage self."""
+    node, a middle node takes its previous-stage self's stage-1 self and
+    column and puts ``step()`` in front, and a leaf is its previous-stage
+    self."""
     params = inner.params
 
     def node(own, neighbors, _params):
@@ -231,7 +226,11 @@ def _staged(inner: Protocol, stage: StageTag, source, middle, setup=None) -> Pro
         if lay == 0:
             return source()
         me = spawn(inner, own, neighbors, params)
-        return middle(me) if lay == 1 else me
+        if lay == 2:
+            return me
+        if isinstance(me, _Middle):
+            return _Middle(me.inner, (step(), *me.column))
+        return _Middle(me, (step(),))  # stage 2: ``me`` is the stage-1 self
 
     return Protocol(f"{stage.value}[{inner.name}]", None, setup=setup, stage=stage,
                     params=params, node=node)
@@ -241,17 +240,19 @@ def _staged(inner: Protocol, stage: StageTag, source, middle, setup=None) -> Pro
 # Stage 2: echoing source
 # ---------------------------------------------------------------------------
 
-class _EchoMiddle(_Middle):
-    """Replays the stage-1 source from the echo stream: in round 3s the
-    echo tells what the source received in round 3s-2; its other sub-rounds
-    are necessarily phi (no neighbor of the source transmits there)."""
+class _Echo:
+    """Stage-2 column step: replays the stage-1 source from the echo
+    stream. In round 3s the echo tells what the source received in round
+    3s-2; its other sub-rounds are necessarily phi (no neighbor of the
+    source transmits there)."""
 
-    def __init__(self, inner, source):
-        super().__init__(inner)
+    def __init__(self, source):
         self.source = source
         source.act(0)  # whether it transmits in round 0 decides how triple 0 collapses
 
-    def _from_source(self, s: int, obs):
+    def __call__(self, s: int, obs):
+        if s == 0:
+            return obs
         echoed = Received(UNKNOWN_SENDER, obs.message) if isinstance(obs, Received) else PHI
         for seen in (PHI, echoed, PHI):
             self.source.observe(seen)
@@ -267,7 +268,7 @@ def to_pi2(p1: Protocol) -> Protocol:
     return _staged(
         p1, StageTag.PI2,
         lambda: _Source(BroadcastPayload(PAYLOAD), lambda heard: heard.message),
-        lambda me: _EchoMiddle(me, spawn(p1, SOURCE, all_l1, params)),
+        lambda: _Echo(spawn(p1, SOURCE, all_l1, params)),
     )
 
 
@@ -338,17 +339,18 @@ def _component_echo(p2: Protocol, params: C2Params, sims: dict, desc: ComponentD
     return heard
 
 
-class _DescMiddle(_Middle):
-    """Rebuilds the echo stream from the descriptor stream: descriptor s
-    names the component whose lone member was heard in round 3s-2, and
-    simulating that component recovers the message itself."""
+class _Desc:
+    """Stage-3 column step: rebuilds the echo stream from the descriptor
+    stream. Descriptor s names the component whose lone member was heard in
+    round 3s-2, and simulating that component recovers the message itself."""
 
-    def __init__(self, inner, echo):
-        super().__init__(inner)
+    def __init__(self, echo):
         self.echo = echo
         self.echoes: list = []
 
-    def _from_source(self, s: int, obs):
+    def __call__(self, s: int, obs):
+        if s == 0:
+            return obs
         echo = None
         if isinstance(obs, Received):
             if not isinstance(obs.message, ComponentDesc):
@@ -379,7 +381,7 @@ def _make_pi3(p2: Protocol, taus: tuple[int, ...] | None, sims: dict) -> Protoco
             raise ProtocolBindingError("stage-3 protocols run only on c2 networks")
         return _make_pi3(p2, tuple(net.c2_taus), sims)
 
-    return _staged(p2, StageTag.PI3, source, lambda me: _DescMiddle(me, echo),
+    return _staged(p2, StageTag.PI3, source, lambda: _Desc(echo),
                    setup=None if taus is not None else setup)
 
 
@@ -415,32 +417,26 @@ def make_advice(p3: Protocol, net: Network, r: int) -> AdviceString:
     return AdviceString(tuple(entries))
 
 
-class _AdvisedMiddle(_Middle):
-    """The advice is exactly the descriptor stream a stage-3 source would
-    have transmitted; hand the stage-3 self observations that say so."""
+class _Advised:
+    """Stage-4 column step: the advice is exactly the descriptor stream a
+    stage-3 source would have transmitted. It comes with the round-0
+    payload, which the stage-3 self sees without it."""
 
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.first = None  # the round-0 observation
+    def __init__(self):
+        self.advice = None
 
-    def observe(self, obs) -> None:
-        if self.first is None:
-            self.first = obs
-        super().observe(obs)
-
-    def _check(self, round: int) -> None:
-        first = self.first
-        if not (isinstance(first, Received) and isinstance(first.message, BroadcastPayload)
-                and isinstance(first.message.advice, AdviceString)):
-            raise ProtocolBindingError("middle node saw no advice in round 0")
-        got = first.message.advice
-        if len(got.entries) < round // 3:
+    def __call__(self, s: int, obs):
+        if s == 0:
+            if not (isinstance(obs, Received) and isinstance(obs.message, BroadcastPayload)
+                    and isinstance(obs.message.advice, AdviceString)):
+                raise ProtocolBindingError("middle node saw no advice in round 0")
+            self.advice = obs.message.advice
+            return Received(obs.sender, BroadcastPayload(obs.message.data, None))
+        if len(self.advice.entries) < s:
             raise ProtocolBindingError(
-                f"advice has {len(got.entries)} entries, round {round} needs {round // 3}"
+                f"advice has {len(self.advice.entries)} entries, round {3 * s + 1} needs {s}"
             )
-
-    def _from_source(self, s: int, obs):
-        entry = self.first.message.advice.entry(s)
+        entry = self.advice.entry(s)
         return PHI if entry is None else Received(SOURCE, entry)
 
 
@@ -448,7 +444,7 @@ def pi4_with_advice(p3: Protocol, advice: AdviceString) -> Protocol:
     """Stage 4 under a fixed advice string (not necessarily the network's own)."""
     require_stage(p3, StageTag.PI3, "pi4_with_advice")
     return _staged(p3, StageTag.PI4, lambda: _Source(BroadcastPayload(PAYLOAD, advice)),
-                   _AdvisedMiddle)
+                   _Advised)
 
 
 def to_pi4(p3: Protocol) -> Protocol:

@@ -19,6 +19,9 @@ from .errors import UniverseTooLarge
 # Exhaustive subset scans are exponential; fail fast beyond these.
 SELECTIVITY_UNIVERSE_CAP = 16
 MIN_SEARCH_UNIVERSE_CAP = 5
+# Greedy's selection table tests every (f, Z) pair; (12,12), at 4095 * 4095
+# pairs, is the largest n = k it admits.
+GREEDY_PAIR_CAP = 1 << 24
 
 ROUND_BOUND_DIVISOR = 1536
 
@@ -85,6 +88,10 @@ def is_selective(fam: SetFamily, n: int, k: int) -> tuple[bool, int | None]:
 def greedy_selective(n: int, k: int) -> SetFamily:
     """Greedy upper-bound construction: always passes is_selective."""
     _check_universe(n, k, SELECTIVITY_UNIVERSE_CAP)
+    pairs = ((1 << n) - 1) * sum(math.comb(n, i) for i in range(1, k + 1))
+    if pairs > GREEDY_PAIR_CAP:
+        raise UniverseTooLarge(
+            f"greedy over n={n}, k={k} tests {pairs} (f, Z) pairs, cap is {GREEDY_PAIR_CAP}")
     uncovered, sel = _selections(n, k)
     chosen: list[int] = []
     while uncovered:
@@ -180,3 +187,9 @@ def family_from_lines(lines) -> SetFamily:
             raise ValueError(f"set {text!r} outside universe [{n}]")
         sets.append(indices_to_mask(indices))
     return SetFamily(n, tuple(sets))
+
+
+def read_family(path: str) -> SetFamily:
+    """The family in the file at ``path`` (format above)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return family_from_lines(fh.read().splitlines())

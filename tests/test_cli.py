@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -248,3 +249,11 @@ def test_adversary_refuses_a_z_sweep_above_the_universe_cap(capsys):
         )
         assert (code, out) == (1, "")
         assert err == "error: Z-sweep over a universe of 17 exceeds cap 16\n"
+
+
+def test_selfam_greedy_refuses_a_table_above_the_pair_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "selfam", "greedy", "--n", "16", "--k", "16")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: greedy over n=16, k=16 tests 4294836225 (f, Z) pairs, cap is 16777216\n"

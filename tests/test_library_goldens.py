@@ -78,7 +78,7 @@ def _outcome(call):
     """What ``call()`` returns, or the type and text of what it raises."""
     try:
         return call()
-    except Exception as exc:  # noqa: BLE001 - the exception is the output
+    except Exception as exc:  # the exception is the output
         return {"raises": [type(exc).__name__, str(exc)]}
 
 

@@ -16,22 +16,27 @@ import pytest
 
 from radiolb import (
     LISTEN,
+    PAYLOAD,
     PHI,
     SOURCE,
     AdviceString,
     BroadcastPayload,
     C2Params,
     ComponentDesc,
+    Network,
+    Received,
     SetFamily,
     TopologyVector,
     Transmit,
     build_c2,
     check_legality,
     completion_round,
+    core,
     enumerate_c2,
     last_informed_round,
     make_advice,
     pi4_with_advice,
+    reductions,
     round_robin,
     run,
     selfam_driven,
@@ -357,6 +362,39 @@ def test_middle_node_without_advice_refuses_to_act(params22):
     node.observe(PHI)  # the round-0 payload, and the advice with it, never arrived
     with pytest.raises(ProtocolBindingError, match=r"^middle node saw no advice in round 0$"):
         node.act(1)
+
+
+@pytest.mark.parametrize("stage", [2, 3, 4])
+def test_staged_middle_node_wraps_its_stage_one_self_once(stage, params22):
+    # A stage-s middle node is one _Middle around its stage-1 self, with one
+    # column step per stage above 1, whatever the stage.
+    p0 = round_robin(params22)
+    proto = transform_chain(p0, params22, stage)
+    if stage == 4:
+        proto = proto.setup(build_c2(params22, TopologyVector((1, 1))), 9)
+    node = spawn(proto, 1, (SOURCE, 5), params22)
+    assert type(node) is reductions._Middle
+    assert type(node.inner) is reductions._Phased
+    assert len(node.column) == stage - 1
+
+
+def test_middle_nodes_hear_phi_in_sub_round_one(params22):
+    # A hand-built edge between middle nodes 1 and 3 delivers node 1's
+    # round-4 transmission to node 3. Node 3's stage-1 self hears it; from
+    # stage 2 on, sub-round 1 is phi for a middle node's stage-1 self.
+    c2net = build_c2(params22, TopologyVector((1, 1)))
+    edges = [(a, b) for a in c2net.labels for b in c2net.neighbors(a) if a < b]
+    net = Network(c2net.labels, edges + [(1, 3)], c2_params=params22, c2_taus=(1, 1))
+    p0 = round_robin(params22)
+    for stage in (1, 2, 3, 4):
+        ex = core.Execution(net, transform_chain(p0, params22, stage), 8)
+        for _ in range(8):  # triple 1 reaches a stage 2-4 self at the act in round 7
+            ex.step()
+        me = ex.nodes[3]
+        while isinstance(me, reductions._Middle):
+            me = me.inner
+        heard = Received(1, BroadcastPayload(PAYLOAD)) if stage == 1 else PHI
+        assert me.base.history[1] == heard
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -23,6 +24,8 @@ from radiolb import (
     size_bound_in_range,
 )
 from radiolb.errors import UniverseTooLarge
+from radiolb import selfam
+from radiolb.selfam import GREEDY_PAIR_CAP
 
 
 def fam(n, *sets):
@@ -102,6 +105,28 @@ def test_greedy_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("n,k,pairs", [(16, 16, 65535 * 65535), (13, 13, 8191 * 8191),
+                                       (16, 3, 65535 * 696)])
+def test_greedy_refuses_a_table_above_the_pair_cap_at_once(n, k, pairs):
+    start = time.perf_counter()
+    with pytest.raises(UniverseTooLarge) as err:
+        greedy_selective(n, k)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == (
+        f"greedy over n={n}, k={k} tests {pairs} (f, Z) pairs, cap is {GREEDY_PAIR_CAP}")
+
+
+def test_greedy_pair_cap_admits_a_table_of_exactly_its_size(monkeypatch):
+    # (4,2) pairs 15 sets f with 10 targets Z; (12,12), at 4095 * 4095,
+    # is the largest n = k table under the real cap
+    monkeypatch.setattr(selfam, "GREEDY_PAIR_CAP", 150)
+    assert is_selective(greedy_selective(4, 2), 4, 2) == (True, None)
+    monkeypatch.setattr(selfam, "GREEDY_PAIR_CAP", 149)
+    with pytest.raises(UniverseTooLarge):
+        greedy_selective(4, 2)
+    assert 4095 * 4095 <= GREEDY_PAIR_CAP < 8191 * 8191
 
 
 # ---------------------------------------------------------------------------
