@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from . import core
 from .c2 import C2Params, TopologyVector, build_c2, component_net, enumerate_c2, l1_index, l2_label
 from .core import Received, Transmit
-from .errors import FreeComponentMissing, UniverseTooLarge, WitnessInconsistency
+from .errors import FreeComponentMissing, StageMismatch, UniverseTooLarge, WitnessInconsistency
 from .prune import run_prune
-from .protocols import Protocol
-from .reductions import pi4_with_advice, transform_chain
+from .protocols import Protocol, StageTag
+from .reductions import pi4_with_advice, require_stage, transform_chain
 from .selfam import SELECTIVITY_UNIVERSE_CAP, mask_to_indices
 
 
@@ -74,6 +74,7 @@ def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> DerivedF
     Raises ``UniverseTooLarge`` before simulating anything when k exceeds
     the sweep's cap.
     """
+    require_stage(p4, StageTag.PI4, "derive_family", params)
     if free is None:
         raise FreeComponentMissing("no free component to vary")
     _check_sweep_cap(params)
@@ -135,6 +136,8 @@ def analyze(p0: Protocol, r: int, params: C2Params) -> AdversaryOutcome:
     """
     if r < 1:
         raise ValueError("budget must be >= 1")
+    if p0.params not in (None, params):
+        raise StageMismatch(f"analyze on family {params} got a protocol for {p0.params}")
     _check_sweep_cap(params)
     p3 = transform_chain(p0, params, 3)
     pr = run_prune(p3, r, params)

@@ -126,10 +126,9 @@ def family_size(params: C2Params) -> int:
     return ((1 << params.k) - 1) ** params.m
 
 
-def enumerate_c2(params: C2Params, cap: int | None = None) -> Iterator[TopologyVector]:
+def enumerate_c2(params: C2Params) -> Iterator[TopologyVector]:
     """All topology vectors in lexicographic order, [1,..,1] first."""
-    total = family_size(params)
-    limit = enumeration_cap() if cap is None else cap
+    total, limit = family_size(params), enumeration_cap()
     if total > limit:
         raise EnumerationTooLarge(f"family has {total} networks, cap is {limit}")
     return map(TopologyVector, product(range(1, 1 << params.k), repeat=params.m))

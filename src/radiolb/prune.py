@@ -80,7 +80,7 @@ def _heard(table: dict, tv: TopologyVector) -> list[int]:
 def _prune(p3: Protocol, vectors, r: int, params: C2Params, op: str):
     """``run_prune``'s survivor rule on ``vectors``: the survivors, the events
     and advice they share, and the smallest survivor's marks."""
-    require_stage(p3, StageTag.PI3, op)
+    require_stage(p3, StageTag.PI3, op, params)
     survivors, events, entries, tables = list(vectors), [], [], []
     # Every live run reads this one advice, whose entries grow as events are
     # decided: a stage-4 middle node reads entry s only at its act in round
@@ -138,7 +138,7 @@ def run_prune(p3: Protocol, r: int, params: C2Params) -> PruneResult:
     identical event; otherwise (all silent) keep everything. With r = 1 the
     whole family is returned untouched.
     """
-    require_stage(p3, StageTag.PI3, "run_prune")
+    require_stage(p3, StageTag.PI3, "run_prune", params)
     if r < 1:
         raise ValueError("r must be >= 1")
     survivors, _, advice, marked = _prune(p3, enumerate_c2(params), r, params, "run_prune")

@@ -17,17 +17,20 @@ layers:
   stage 4  the source transmits the whole descriptor sequence once, as an
            advice string attached to the round-0 payload, then stays silent.
 
-Middle- and leaf-layer transmissions are identical, round for round, across
-all four stages; only the source's column of the trace changes. Every
-staged node is a local simulation carried forward one observation at a
-time: a stage-1 node feeds its base self one collapsed observation per
-round triple, and a stage 2-4 middle node feeds its stage-1 self through a
-column, one step per stage above 1, that rebuilds what the stage-1 source
-sent from advice (stage 4), descriptors (stage 3) and echoes (stage 2).
-Leaves run their previous-stage selves unchanged. The one cache is each
-stage-3 protocol's set of component simulations, at most one per
-(component, tau): each records the echo it rebuilt after every prefix of
-its script, so a prefix it has played is answered from the record and a
+On c2 networks, middle- and leaf-layer transmissions are identical, round
+for round, across all four stages; only the source's column of the trace
+changes. On other networks they need not be: a stage 2-4 middle node hears
+phi in sub-round 1, so on a hand-built network with an edge between two
+middle nodes it misses what its stage-1 run hears there.
+
+Every staged node but a stage 2-4 source is one ``_Phased``: its base node
+process, fed one collapsed observation per round triple at its next act. A
+stage 2-4 middle node also has a column, one step per stage above 1, that
+rebuilds what the stage-1 source sent from advice (stage 4), descriptors
+(stage 3) and echoes (stage 2); leaves run their stage-1 selves. The one
+cache is each stage-3 protocol's set of component simulations, at most one
+per (component, tau): each records the echo it rebuilt after every prefix
+of its script, so a prefix it has played is answered from the record and a
 longer one by stepping on. The simulations are shared by all the
 protocol's runs and dropped with it.
 """
@@ -98,11 +101,13 @@ class AdviceString:
         return AdviceString(tuple(entries))
 
 
-def require_stage(proto: Protocol, stage: StageTag, op: str) -> None:
+def require_stage(proto: Protocol, stage: StageTag, op: str, params=None) -> None:
     if proto.stage is not stage:
         raise StageMismatch(f"{op} needs a {stage.value} protocol, got {proto.stage.value}")
     if proto.params is None:
         raise StageMismatch(f"{op} needs a protocol carrying family parameters")
+    if params not in (None, proto.params):
+        raise StageMismatch(f"{op} on family {params} got a protocol for {proto.params}")
 
 
 # ---------------------------------------------------------------------------
@@ -110,33 +115,50 @@ def require_stage(proto: Protocol, stage: StageTag, op: str) -> None:
 # ---------------------------------------------------------------------------
 
 class _Phased:
-    """Stage-1 node: acts only in its layer's sub-round, as its base self
-    would in the re-enacted base round. Per round triple the base self
-    observes phi if it transmitted; otherwise the unique reception across
-    the triple, with zero or two-plus receptions collapsing to phi, exactly
-    mirroring what a single base round would have delivered."""
+    """A staged node: acts only in its layer's sub-round, as its base self
+    would in the re-enacted base round. Observations wait in ``pending``
+    until its next act, which hands them on in round order, collapsing each
+    round triple as a single base round would: phi if the base self
+    transmitted, else the triple's unique reception (phi for none or several).
 
-    def __init__(self, base, layer: int):
-        self.base, self.layer = base, layer
+    A stage 2-4 middle node has a ``column``, one step per stage above 1,
+    the current stage's first. Each step takes ``(s, obs)`` for the
+    observation of round 3s, round 0 included, and hands the next what a
+    source one stage lower would have sent; the last yields the stage-1
+    source's message. Such a node hears phi in sub-round 1. The column's
+    checks raise at the act that hands them on, which the advice budget
+    counts on: a stage-4 node reads advice entry s only at its act in round
+    3s+1, so a run that stops after round 3s needs no entry s.
+    """
+
+    def __init__(self, base, layer: int, column: tuple = ()):
+        self.base, self.layer, self.column = base, layer, column
         self.action = None  # the base action of the current triple
         self.got: list[Received] = []
-        self.rounds = 0
+        self.pending: list = []
 
     def act(self, round: int):
         t, phase = divmod(round, 3)
         if phase != self.layer:
             return LISTEN
+        for r, obs in enumerate(self.pending, round - len(self.pending)):
+            if self.column and r % 3 == 0:
+                for step in self.column:
+                    obs = step(r // 3, obs)
+            elif self.column and r % 3 == 1:
+                obs = PHI
+            if isinstance(obs, Received):
+                self.got.append(obs)
+            if r % 3 == 2:
+                alone = len(self.got) == 1 and not isinstance(self.action, Transmit)
+                self.base.observe(self.got[0] if alone else PHI)
+                self.got = []
+        self.pending.clear()
         self.action = self.base.act(t)
         return self.action if isinstance(self.action, Transmit) else LISTEN
 
     def observe(self, obs) -> None:
-        if isinstance(obs, Received):
-            self.got.append(obs)
-        self.rounds += 1
-        if self.rounds % 3 == 0:
-            alone = len(self.got) == 1 and not isinstance(self.action, Transmit)
-            self.base.observe(self.got[0] if alone else PHI)
-            self.action, self.got = None, []
+        self.pending.append(obs)
 
 
 def to_pi1(p0: Protocol, params: C2Params) -> Protocol:
@@ -174,51 +196,10 @@ class _Source:
         self.rounds += 1
 
 
-class _Middle:
-    """Stage 2-4 middle node: its stage-1 self, fed through ``column``.
-
-    The column holds one step per stage above 1, the current stage's first.
-    Each step is called as ``step(s, obs)`` on the observation of round 3s,
-    round 0 included, and hands the next step what a source one stage lower
-    would have sent; the last step yields the stage-1 source's message. The
-    stage-1 self sees that in rounds 3s, phi in sub-round 1 (a middle node
-    of a c2 network cannot hear another) and the real sub-round-2
-    observation (leaf traffic). Observations are handed on at the node's
-    next sub-round-1 act, where the column's checks raise. The deferral is
-    what the advice budget counts on: a stage-4 node reads advice entry s
-    only when it acts in round 3s+1. Handed on at once, the round-3s
-    observation would read it a round earlier, and a run that stops after
-    round 3s would need an entry its middle nodes never act on.
-    """
-
-    def __init__(self, inner: _Phased, column: tuple):
-        self.inner, self.column = inner, column
-        self.pending: list = []
-        self.rounds = 0
-
-    def act(self, round: int):
-        if round % 3 != 1:
-            return LISTEN
-        for obs in self.pending:
-            r, self.rounds = self.rounds, self.rounds + 1
-            if r % 3 == 0:
-                for step in self.column:
-                    obs = step(r // 3, obs)
-            elif r % 3 == 1:
-                obs = PHI
-            self.inner.observe(obs)
-        self.pending.clear()
-        return self.inner.act(round)
-
-    def observe(self, obs) -> None:
-        self.pending.append(obs)
-
-
 def _staged(inner: Protocol, stage: StageTag, source, step, setup=None) -> Protocol:
     """A stage 2-4 protocol over ``inner``: ``source()`` builds the source's
-    node, a middle node takes its previous-stage self's stage-1 self and
-    column and puts ``step()`` in front, and a leaf is its previous-stage
-    self."""
+    node, a middle node takes its previous-stage self's base and column and
+    puts ``step()`` in front, and a leaf is its previous-stage self."""
     params = inner.params
 
     def node(own, neighbors, _params):
@@ -228,9 +209,7 @@ def _staged(inner: Protocol, stage: StageTag, source, step, setup=None) -> Proto
         me = spawn(inner, own, neighbors, params)
         if lay == 2:
             return me
-        if isinstance(me, _Middle):
-            return _Middle(me.inner, (step(), *me.column))
-        return _Middle(me, (step(),))  # stage 2: ``me`` is the stage-1 self
+        return _Phased(me.base, 1, (step(), *me.column))
 
     return Protocol(f"{stage.value}[{inner.name}]", None, setup=setup, stage=stage,
                     params=params, node=node)
@@ -261,7 +240,9 @@ class _Echo:
 
 
 def to_pi2(p1: Protocol) -> Protocol:
-    """Make the source a pure repeater (stage 2)."""
+    """Make the source a pure repeater (stage 2). Middle and leaf columns
+    match stage 1's on c2 networks only: on a hand-built network with an
+    edge between two middle nodes, a middle node hears phi in sub-round 1."""
     require_stage(p1, StageTag.PI1, "to_pi2")
     params = p1.params
     all_l1 = tuple(range(1, params.m * params.k + 1))
@@ -285,7 +266,8 @@ class _EchoSim:
     network where the script matches the source. ``script`` holds the
     entries played so far, and ``heard[s]`` the message of the lone
     middle-layer transmitter in round 3s+1 (None when zero or several
-    transmit) for every s played.
+    transmit) for every s played. It checks no legality, since the script
+    may be another network's (see ``core``).
     """
 
     def __init__(self, p2: Protocol, params: C2Params, desc: ComponentDesc):
@@ -400,7 +382,10 @@ def to_pi3(p2: Protocol) -> Protocol:
 
 def make_advice(p3: Protocol, net: Network, r: int) -> AdviceString:
     """Advice for a budget of r base rounds: the source's stage-3
-    transmissions at rounds 3t, t = 1..r-1, on the given network."""
+    transmissions at rounds 3t, t = 1..r-1, on the given network: the
+    whole-network definition that pruning's advice is tested against.
+    Pruning's one-vector run plays two rounds fewer, and advice derived
+    from it changes the spontaneous-leaf prey's recorded outputs."""
     require_stage(p3, StageTag.PI3, "make_advice")
     if r <= 1:
         return AdviceString(())

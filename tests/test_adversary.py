@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import gc
+import re
 import tracemalloc
 import weakref
 
 import pytest
 
 from radiolb import (
+    AdviceString,
     C2Params,
     Protocol,
     SetFamily,
@@ -18,10 +20,14 @@ from radiolb import (
     analyze,
     build_c2,
     check_legality,
+    classify_event,
     completion_round,
     cross_check,
     derive_family,
+    event_sequence,
     find_witness,
+    mark_components,
+    membership,
     pi4_with_advice,
     round_robin,
     run,
@@ -33,7 +39,12 @@ from radiolb import (
     to_pi3,
 )
 from radiolb.c2 import enumerate_c2
-from radiolb.errors import FreeComponentMissing, UniverseTooLarge, WitnessInconsistency
+from radiolb.errors import (
+    FreeComponentMissing,
+    StageMismatch,
+    UniverseTooLarge,
+    WitnessInconsistency,
+)
 from radiolb.selfam import SELECTIVITY_UNIVERSE_CAP
 
 from preys import hash_prey, leaf_ack_prey, sender_hash_prey
@@ -122,6 +133,30 @@ def test_success_table_matches_family_selection(params22):
                     assert not hits
                 else:
                     assert df.first_success[z] == 3 * hits[0] + 1
+
+
+@pytest.mark.parametrize("other", [C2Params(2, 3), C2Params(1, 2)])
+@pytest.mark.parametrize("op", ["run_prune", "event_sequence", "classify_event",
+                                "mark_components", "membership", "derive_family", "analyze"])
+def test_family_parameters_other_than_the_protocols_are_refused(op, other, params22):
+    # A protocol built for (2,2) used on another family is refused at entry,
+    # naming both parameter sets, instead of failing deep inside a run (an
+    # unknown label, a round 0 without advice) or answering for (2,2).
+    p0 = round_robin(params22)
+    p3 = pi3_of(p0, params22)
+    tv = TopologyVector((1,) * other.m)
+    net = build_c2(other, tv)
+    call = {
+        "run_prune": lambda: run_prune(p3, 3, other),
+        "event_sequence": lambda: event_sequence(p3, net, 3, other),
+        "classify_event": lambda: classify_event(p3, net, 1),
+        "mark_components": lambda: mark_components(p3, net, 3),
+        "membership": lambda: membership(p3, tv, run_prune(p3, 3, params22), other, 3),
+        "derive_family": lambda: derive_family(pi4_with_advice(p3, AdviceString(())), 0, 2, other),
+        "analyze": lambda: analyze(p0, 3, other),
+    }[op]
+    with pytest.raises(StageMismatch, match=re.escape(f"on family {other} got a protocol for {params22}")):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from radiolb import (
     BroadcastPayload,
     C2Params,
     ComponentDesc,
+    HistoryNode,
     Network,
     Received,
     SetFamily,
@@ -364,18 +365,23 @@ def test_middle_node_without_advice_refuses_to_act(params22):
         node.act(1)
 
 
-@pytest.mark.parametrize("stage", [2, 3, 4])
-def test_staged_middle_node_wraps_its_stage_one_self_once(stage, params22):
-    # A stage-s middle node is one _Middle around its stage-1 self, with one
-    # column step per stage above 1, whatever the stage.
-    p0 = round_robin(params22)
-    proto = transform_chain(p0, params22, stage)
-    if stage == 4:
-        proto = proto.setup(build_c2(params22, TopologyVector((1, 1))), 9)
-    node = spawn(proto, 1, (SOURCE, 5), params22)
-    assert type(node) is reductions._Middle
-    assert type(node.inner) is reductions._Phased
-    assert len(node.column) == stage - 1
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_staged_node_holds_its_base_self_directly(stage, params22):
+    # Every stage-s middle node and leaf (and the stage-1 source) is one
+    # _Phased around its base node process; a middle node's column has one
+    # step per stage above 1 and a leaf's is empty, whatever the stage.
+    net = build_c2(params22, TopologyVector((1, 1)))
+    proto = transform_chain(round_robin(params22), params22, stage)
+    if proto.setup is not None:
+        proto = proto.setup(net, 9)
+    for x in sorted(net.labels):
+        node = spawn(proto, x, tuple(sorted(net.neighbors(x))), params22)
+        if x == SOURCE and stage > 1:
+            assert type(node) is reductions._Source
+            continue
+        assert type(node) is reductions._Phased
+        assert type(node.base) is HistoryNode
+        assert len(node.column) == (stage - 1 if layer_of(x, params22) == 1 else 0)
 
 
 def test_middle_nodes_hear_phi_in_sub_round_one(params22):
@@ -388,13 +394,10 @@ def test_middle_nodes_hear_phi_in_sub_round_one(params22):
     p0 = round_robin(params22)
     for stage in (1, 2, 3, 4):
         ex = core.Execution(net, transform_chain(p0, params22, stage), 8)
-        for _ in range(8):  # triple 1 reaches a stage 2-4 self at the act in round 7
+        for _ in range(8):  # triple 1 reaches node 3's base self at its act in round 7
             ex.step()
-        me = ex.nodes[3]
-        while isinstance(me, reductions._Middle):
-            me = me.inner
         heard = Received(1, BroadcastPayload(PAYLOAD)) if stage == 1 else PHI
-        assert me.base.history[1] == heard
+        assert ex.nodes[3].base.history[1] == heard
 
 
 # ---------------------------------------------------------------------------
