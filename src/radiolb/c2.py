@@ -89,6 +89,13 @@ def _check_tau(tau: int, k: int) -> None:
         raise InvalidTau(f"tau={tau} outside [1, {1 << k})")
 
 
+def _check_taus(params: C2Params, taus: tuple[int, ...]) -> None:
+    if len(taus) != params.m:
+        raise InvalidTau(f"expected {params.m} taus, got {len(taus)}")
+    for tau in taus:
+        _check_tau(tau, params.k)
+
+
 def _component_edges(params: C2Params, i: int, tau: int) -> list[tuple[int, int]]:
     mids = [l1_label(params, i, j) for j in range(params.k)]
     leaf = l2_label(params, i)
@@ -96,10 +103,7 @@ def _component_edges(params: C2Params, i: int, tau: int) -> list[tuple[int, int]
 
 
 def build_c2(params: C2Params, tv: TopologyVector) -> Network:
-    if len(tv.taus) != params.m:
-        raise InvalidTau(f"expected {params.m} taus, got {len(tv.taus)}")
-    for tau in tv.taus:
-        _check_tau(tau, params.k)
+    _check_taus(params, tv.taus)
     edges = [e for i, tau in enumerate(tv.taus) for e in _component_edges(params, i, tau)]
     return Network(range(params.n), edges, c2_params=params, c2_taus=tv.taus)
 
@@ -143,11 +147,7 @@ def decode_c2(text: str) -> tuple[C2Params, TopologyVector]:
     match = re.fullmatch(r"c2:m=(\d+),k=(\d+),taus=(\d+(?:,\d+)*)", text.strip())
     if not match:
         raise ValueError(f"malformed c2 encoding: {text!r}")
-    m, k = int(match.group(1)), int(match.group(2))
     taus = tuple(int(t) for t in match.group(3).split(","))
-    params = C2Params(m, k)
-    if len(taus) != m:
-        raise InvalidTau(f"expected {m} taus, got {len(taus)}")
-    for tau in taus:
-        _check_tau(tau, k)
+    params = C2Params(int(match.group(1)), int(match.group(2)))
+    _check_taus(params, taus)
     return params, TopologyVector(taus)

@@ -237,11 +237,11 @@ class Execution:
     """A run in progress: each ``step()`` plays one more round and returns
     its record.
 
-    Every node runs its own process (``protocols.spawn``): each round the
-    execution asks every node for its action, executes the round, then
-    hands every node its observation. The protocol is bound for a run of
-    ``max_rounds`` rounds (its ``setup`` is told that length), and the
-    execution stops there.
+    Every node runs its own process (``protocols.spawn``) on its local
+    view: each round the execution asks every node for its action, executes
+    the round, then hands every node its observation. ``setup`` binds the
+    protocol for a run of ``max_rounds`` rounds (it is told that length),
+    and the execution stops there.
 
     Round 0 permits only the source to transmit; at any later round a node
     may transmit only if it is the source or has received at least one
@@ -259,16 +259,13 @@ class Execution:
             raise UnknownLabel("network has no source node (label 0)")
         if proto.setup is not None:
             proto = proto.setup(net, max_rounds)
-            if proto.setup is not None:
-                raise ValueError("setup returned an unbound protocol")
 
         from .protocols import spawn  # local import: avoids a cycle
 
         self.net, self.name, self.max_rounds = net, proto.name, max_rounds
         self.collect_violations = collect_violations
         self.order = sorted(net.labels)
-        self.nodes = {x: spawn(proto, x, tuple(sorted(net.neighbors(x))), net.c2_params)
-                      for x in self.order}
+        self.nodes = {x: spawn(proto, x, tuple(sorted(net.neighbors(x)))) for x in self.order}
         self.heard: set[int] = set()  # nodes that have received at least one message
         self.informed: dict[int, int] = {SOURCE: 0}
         self.round = 0  # the next round to play

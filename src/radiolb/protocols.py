@@ -1,14 +1,16 @@
 """Deterministic protocol abstraction and the reference protocols.
 
 A protocol runs as one node process per node: ``spawn(proto, own,
-neighbors, params)`` returns an object with ``act(round) -> Action`` and
+neighbors)`` returns an object with ``act(round) -> Action`` and
 ``observe(obs)``, which the engine calls once per round each, in that
-order. Protocols written as a pure step function from the local view (own
-label, neighbor labels, round number, observation history) to an action run
-through the ``HistoryNode`` adapter; staged protocols supply their own
-``node`` factory instead. All nodes run identical copies; behavior may
-differ only through the local view. Family parameters (m, k) are public
-constants, so a node can derive its layer and component from its own label.
+order. ``spawn`` refuses a protocol still awaiting its per-network
+``setup``. Protocols written as a pure step function from the local view
+(own label, neighbor labels, round number, observation history) to an
+action run through the ``HistoryNode`` adapter; staged protocols supply
+their own ``node(own, neighbors)`` factory instead. All nodes run identical
+copies; behavior may differ only through the local view. Family parameters
+(m, k) are public constants, so a node can derive its layer and component
+from its own label.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .core import (
     Transmit,
     is_payload,
 )
-from .errors import IndexOutOfUniverse
+from .errors import IndexOutOfUniverse, ProtocolBindingError
 from .selfam import SetFamily, read_family
 
 
@@ -51,7 +53,6 @@ class ProtocolContext:
     neighbor_labels: tuple[int, ...]
     round: int
     history: tuple[Observation, ...]  # index = round, covers rounds < round
-    params: C2Params | None = None
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class Protocol:
     None). ``setup(net, max_rounds)`` returns a copy of the protocol
     specialized to the network (privileged inputs such as full topology or
     an advice string live there, never in the per-node view). The engine
-    binds automatically at the start of a run.
+    binds at the start of a run; ``spawn`` refuses an unbound protocol.
     """
 
     name: str
@@ -71,29 +72,31 @@ class Protocol:
     setup: Callable[[Network, int], "Protocol"] | None = None
     stage: StageTag = StageTag.PI0
     params: C2Params | None = None
-    node: Callable[[int, tuple[int, ...], C2Params | None], object] | None = None
+    node: Callable[[int, tuple[int, ...]], object] | None = None
 
 
 class HistoryNode:
     """Runs a history step function as a node process."""
 
-    def __init__(self, step, own: int, neighbors: tuple[int, ...], params):
-        self.step, self.own, self.neighbors, self.params = step, own, neighbors, params
+    def __init__(self, step, own: int, neighbors: tuple[int, ...]):
+        self.step, self.own, self.neighbors = step, own, neighbors
         self.history: list[Observation] = []
 
     def act(self, round: int) -> Action:
-        ctx = ProtocolContext(self.own, self.neighbors, round, tuple(self.history), self.params)
+        ctx = ProtocolContext(self.own, self.neighbors, round, tuple(self.history))
         return self.step(ctx)
 
     def observe(self, obs: Observation) -> None:
         self.history.append(obs)
 
 
-def spawn(proto: Protocol, own: int, neighbors: tuple[int, ...], params):
-    """The process of node ``own`` running ``proto``."""
+def spawn(proto: Protocol, own: int, neighbors: tuple[int, ...]):
+    """The process of node ``own`` running ``proto``, which must be bound."""
+    if proto.setup is not None:
+        raise ProtocolBindingError(f"{proto.name} is unbound: bind it with setup(net, max_rounds)")
     if proto.node is not None:
-        return proto.node(own, neighbors, params)
-    return HistoryNode(proto.step, own, neighbors, params)
+        return proto.node(own, neighbors)
+    return HistoryNode(proto.step, own, neighbors)
 
 
 def has_received_payload(history) -> bool:

@@ -164,8 +164,8 @@ class _Phased:
 def to_pi1(p0: Protocol, params: C2Params) -> Protocol:
     """Phase-separate a base protocol over round triples (stage 1)."""
 
-    def node(own, neighbors, _params):
-        return _Phased(spawn(p0, own, neighbors, params), layer_of(own, params))
+    def node(own, neighbors):
+        return _Phased(spawn(p0, own, neighbors), layer_of(own, params))
 
     return Protocol(f"pi1[{p0.name}]", None, stage=StageTag.PI1, params=params, node=node)
 
@@ -199,14 +199,16 @@ class _Source:
 def _staged(inner: Protocol, stage: StageTag, source, step, setup=None) -> Protocol:
     """A stage 2-4 protocol over ``inner``: ``source()`` builds the source's
     node, a middle node takes its previous-stage self's base and column and
-    puts ``step()`` in front, and a leaf is its previous-stage self."""
+    puts ``step()`` in front, and a leaf is its previous-stage self. That
+    self comes from ``inner.node``: pruning's stage 4 runs over an unbound
+    stage 3, and only a source needs binding (``source`` is None until then)."""
     params = inner.params
 
-    def node(own, neighbors, _params):
+    def node(own, neighbors):
         lay = layer_of(own, params)
         if lay == 0:
             return source()
-        me = spawn(inner, own, neighbors, params)
+        me = inner.node(own, neighbors)
         if lay == 2:
             return me
         return _Phased(me.base, 1, (step(), *me.column))
@@ -249,7 +251,7 @@ def to_pi2(p1: Protocol) -> Protocol:
     return _staged(
         p1, StageTag.PI2,
         lambda: _Source(BroadcastPayload(PAYLOAD), lambda heard: heard.message),
-        lambda: _Echo(spawn(p1, SOURCE, all_l1, params)),
+        lambda: _Echo(spawn(p1, SOURCE, all_l1)),
     )
 
 
@@ -272,7 +274,7 @@ class _EchoSim:
 
     def __init__(self, p2: Protocol, params: C2Params, desc: ComponentDesc):
         self.net = component_net(params, desc.component, desc.tau)
-        self.nodes = {x: spawn(p2, x, tuple(sorted(self.net.neighbors(x))), params)
+        self.nodes = {x: spawn(p2, x, tuple(sorted(self.net.neighbors(x))))
                       for x in sorted(self.net.labels - {SOURCE})}
         self.script: list = []
         self.heard: list = []
@@ -342,38 +344,27 @@ class _Desc:
         return PHI if echo is None else Received(SOURCE, echo)
 
 
-def _make_pi3(p2: Protocol, taus: tuple[int, ...] | None, sims: dict) -> Protocol:
+def to_pi3(p2: Protocol) -> Protocol:
+    """Restrict the source to component descriptors (stage 3). The returned
+    protocol is unbound; ``setup`` returns the copy whose source describes
+    each heard component by the network's topology, its private input. All
+    copies share the component simulations that rebuild the echoes."""
+    require_stage(p2, StageTag.PI2, "to_pi3")
     params = p2.params
-    echo = partial(_component_echo, p2, params, sims)
-
-    def source():
-        if taus is None:
-            raise ProtocolBindingError(
-                "stage-3 source needs the network topology; run() binds it via setup"
-            )
-
-        def describe(heard):
-            comp = component_of(heard.sender, params)
-            return ComponentDesc(comp, taus[comp])
-
-        return _Source(BroadcastPayload(PAYLOAD), describe)
+    desc = partial(_Desc, partial(_component_echo, p2, params, {}))
 
     def setup(net: Network, max_rounds: int) -> Protocol:
         if net.c2_taus is None:
             raise ProtocolBindingError("stage-3 protocols run only on c2 networks")
-        return _make_pi3(p2, tuple(net.c2_taus), sims)
 
-    return _staged(p2, StageTag.PI3, source, lambda: _Desc(echo),
-                   setup=None if taus is not None else setup)
+        def describe(heard):
+            comp = component_of(heard.sender, params)
+            return ComponentDesc(comp, net.c2_taus[comp])
 
+        return _staged(p2, StageTag.PI3, partial(_Source, BroadcastPayload(PAYLOAD), describe),
+                       desc)
 
-def to_pi3(p2: Protocol) -> Protocol:
-    """Restrict the source to component descriptors (stage 3). The returned
-    protocol binds the network topology as the source's private input when a
-    run starts; it and every binding share the component simulations that
-    rebuild the echoes."""
-    require_stage(p2, StageTag.PI2, "to_pi3")
-    return _make_pi3(p2, None, {})
+    return _staged(p2, StageTag.PI3, None, desc, setup)
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +424,17 @@ def pi4_with_advice(p3: Protocol, advice: AdviceString) -> Protocol:
 
 
 def to_pi4(p3: Protocol) -> Protocol:
-    """Advised stage 4: setup computes the network's own advice, the source
-    transmits it once with the payload and then stays silent."""
+    """Advised stage 4, unbound: ``setup`` computes the network's own advice
+    and returns ``pi4_with_advice`` under it, whose source transmits the
+    advice once with the payload and then stays silent."""
     require_stage(p3, StageTag.PI3, "to_pi4")
-
-    def unbound(own, neighbors, params):
-        raise ProtocolBindingError("stage-4 protocol used without setup binding")
 
     def setup(net: Network, max_rounds: int) -> Protocol:
         # the last sub-round-1 act, in round 3s+1 <= max_rounds-1, reads
         # entry s, the last of a budget of s+1 base rounds
         return pi4_with_advice(p3, make_advice(p3, net, (max_rounds + 1) // 3))
 
-    return Protocol(f"pi4[{p3.name}]", None, setup=setup, stage=StageTag.PI4,
-                    params=p3.params, node=unbound)
+    return Protocol(f"pi4[{p3.name}]", None, setup=setup, stage=StageTag.PI4, params=p3.params)
 
 
 def transform_chain(p0: Protocol, params: C2Params, stage: int) -> Protocol:

@@ -100,7 +100,7 @@ class Simulated(Exception):
 def unrunnable(params):
     """A stage-4 stand-in whose first node process stops the run."""
 
-    def node(own, neighbors, _params):
+    def node(own, neighbors):
         raise Simulated
 
     return Protocol("unrunnable", None, stage=StageTag.PI4, params=params, node=node)
@@ -157,6 +157,11 @@ def test_family_parameters_other_than_the_protocols_are_refused(op, other, param
     }[op]
     with pytest.raises(StageMismatch, match=re.escape(f"on family {other} got a protocol for {params22}")):
         call()
+
+
+def test_analyze_refuses_a_budget_below_one(params22):
+    with pytest.raises(ValueError, match=r"^budget must be >= 1$"):
+        analyze(round_robin(params22), 0, params22)
 
 
 # ---------------------------------------------------------------------------

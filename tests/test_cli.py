@@ -257,3 +257,37 @@ def test_selfam_greedy_refuses_a_table_above_the_pair_cap(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err == "error: greedy over n=16, k=16 tests 4294836225 (f, Z) pairs, cap is 16777216\n"
+
+
+def test_unreadable_networks_exit_one(capsys, tmp_path):
+    missing, empty = tmp_path / "nofile", tmp_path / "empty.txt"
+    empty.write_text("\n  \n", encoding="utf-8")
+    for net, message in ((missing, f"--net {str(missing)!r} is neither a c2 encoding nor a file"),
+                         (empty, f"network file {str(empty)!r} is empty")):
+        code, out, err = invoke(
+            capsys, "simulate", "--net", str(net), "--protocol", "silent", "--rounds", "2",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+
+def test_selfam_verify_n_must_match_the_family(capsys, tmp_path):
+    fam_file = tmp_path / "fam.txt"
+    fam_file.write_text("n=2\n0\n1\n", encoding="utf-8")
+    code, out, err = invoke(
+        capsys, "selfam", "verify", "--n", "3", "--k", "1", "--family", str(fam_file),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --n 3 disagrees with family universe 2\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["greedy", "--n", "3"], "selfam greedy requires --n and --k"),
+    (["bound", "--k", "2"], "selfam bound requires --n"),
+    (["verify", "--family", "fam.txt"], "selfam verify requires --k"),
+])
+def test_selfam_missing_options_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selfam", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"radiolb: error: {message}\n")

@@ -35,7 +35,7 @@ from radiolb import (
     silent_l1,
     transform_chain,
 )
-from radiolb.c2 import component_of, l1_index, l2_label, layer_of
+from radiolb.c2 import component_net, component_of, l1_index, l2_label, layer_of
 from radiolb.errors import ProtocolBindingError
 from radiolb.prune import COLLISION, SILENT, Collision
 
@@ -153,6 +153,13 @@ def test_event_sequence_needs_a_c2_network(params12):
     net = Network(range(4), [(0, 1), (0, 2), (1, 3)])  # c2:m=1,k=2,taus=1 without its tag
     with pytest.raises(ProtocolBindingError):
         event_sequence(p3, net, 3, params12)
+
+
+def test_stage_three_runs_only_on_c2_networks(params22):
+    # a component network carries no topology vector for the source to describe
+    p3 = transform_chain(round_robin(params22), params22, 3)
+    with pytest.raises(ProtocolBindingError, match=r"^stage-3 protocols run only on c2 networks$"):
+        core.run(component_net(params22, 0, 1), p3, 7)
 
 
 def test_analysis_runs_only_single_components(monkeypatch):

@@ -16,6 +16,7 @@ from radiolb import (
     Execution,
     Network,
     Opaque,
+    Protocol,
     Received,
     TopologyVector,
     Transmit,
@@ -156,6 +157,39 @@ def test_spontaneous_transmission_rejected(params12):
 
     with pytest.raises(SpontaneityViolation):
         run(net, Protocol("eager", step), 3)
+
+
+# ---------------------------------------------------------------------------
+# Input checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("labels, edges, error, message", [
+    ([-1, 0], [(-1, 0)], UnknownLabel, r"^labels must be non-negative$"),
+    ([0, 1], [(0, 1), (1, 1)], ValueError, r"^self-loop on 1$"),
+    ([0, 1], [(0, 1), (0, 2)], UnknownLabel, r"^edge \(0,2\) references a non-node$"),
+    ([0, 1, 2], [(0, 1)], ValueError, r"^network is not connected$"),
+])
+def test_network_rejects_malformed_input(labels, edges, error, message):
+    with pytest.raises(error, match=message):
+        Network(labels, edges)
+
+
+def test_neighbors_of_an_unknown_label_raise():
+    with pytest.raises(UnknownLabel, match=r"^no node 3$"):
+        path3().neighbors(3)
+
+
+def test_execution_needs_a_source():
+    net = Network([1, 2], [(1, 2)])
+    with pytest.raises(UnknownLabel, match=r"^network has no source node \(label 0\)$"):
+        Execution(net, silent_l1(C2Params(1, 1)), 1)
+
+
+def test_a_step_returning_a_non_action_names_protocol_and_node():
+    proto = Protocol("mute", lambda ctx: None if ctx.own_label == 1 else LISTEN)
+    ex = Execution(path3(), proto, 1)
+    with pytest.raises(TypeError, match=r"^mute returned None for node 1$"):
+        ex.step()
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,6 @@ def test_steps_are_pure_on_copied_contexts(params22):
                 tuple(sorted(net.neighbors(x))),
                 rec.round,
                 tuple(history[x]),
-                params22,
             )
             assert proto.step(ctx) == proto.step(copy.deepcopy(ctx)) == rec.actions[x]
         for x in net.labels:

@@ -64,6 +64,14 @@ def test_classify_requires_stage_three(params12):
         classify_event(p1, build_c2(params12, TopologyVector((1,))), 1)
 
 
+def test_classify_and_prune_refuse_rounds_below_one(params12):
+    p3 = pi3(round_robin, params12)
+    with pytest.raises(ValueError, match=r"^t must be >= 1$"):
+        classify_event(p3, build_c2(params12, TopologyVector((1,))), 0)
+    with pytest.raises(ValueError, match=r"^r must be >= 1$"):
+        run_prune(p3, 0, params12)
+
+
 # ---------------------------------------------------------------------------
 # run_prune
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ preserved).
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -358,7 +359,7 @@ def test_short_advice_is_refused_at_the_act_that_reads_it(params22):
 
 def test_middle_node_without_advice_refuses_to_act(params22):
     p3 = to_pi3(to_pi2(to_pi1(round_robin(params22), params22)))
-    node = spawn(pi4_with_advice(p3, AdviceString(())), 1, (SOURCE, 5), params22)
+    node = spawn(pi4_with_advice(p3, AdviceString(())), 1, (SOURCE, 5))
     assert node.act(0) == LISTEN
     node.observe(PHI)  # the round-0 payload, and the advice with it, never arrived
     with pytest.raises(ProtocolBindingError, match=r"^middle node saw no advice in round 0$"):
@@ -375,7 +376,7 @@ def test_staged_node_holds_its_base_self_directly(stage, params22):
     if proto.setup is not None:
         proto = proto.setup(net, 9)
     for x in sorted(net.labels):
-        node = spawn(proto, x, tuple(sorted(net.neighbors(x))), params22)
+        node = spawn(proto, x, tuple(sorted(net.neighbors(x))))
         if x == SOURCE and stage > 1:
             assert type(node) is reductions._Source
             continue
@@ -418,6 +419,20 @@ def test_stage_mismatch_errors(params12):
         make_advice(p2, build_c2(params12, TopologyVector((1,))), 2)
     with pytest.raises(StageMismatch):
         pi4_with_advice(p1, AdviceString(()))
+
+
+def test_only_a_bound_protocol_spawns(params22):
+    # spawn is the one place that refuses an unbound protocol: every node of
+    # an unbound stage 3 or stage 4, and a run whose setup does not bind
+    net = build_c2(params22, TopologyVector((1, 1)))
+    p3 = transform_chain(round_robin(params22), params22, 3)
+    for proto in (p3, to_pi4(p3)):
+        for x in sorted(net.labels):
+            with pytest.raises(ProtocolBindingError, match=rf"^{re.escape(proto.name)} is unbound"):
+                spawn(proto, x, tuple(sorted(net.neighbors(x))))
+    lazy = dataclasses.replace(p3, setup=lambda net, max_rounds: p3)
+    with pytest.raises(ProtocolBindingError, match=rf"^{re.escape(p3.name)} is unbound"):
+        core.Execution(net, lazy, 3)
 
 
 def test_transform_chain_stages(params12):
