@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import core
 from .c2 import C2Params, TopologyVector, build_c2, component_net, enumerate_c2, l1_index, l2_label
 from .core import Received, Transmit
-from .errors import FreeComponentMissing, StageMismatch, UniverseTooLarge, WitnessInconsistency
+from .errors import FreeComponentMissing, UniverseTooLarge, WitnessInconsistency
 from .prune import run_prune
 from .protocols import Protocol, StageTag
 from .reductions import pi4_with_advice, require_stage, transform_chain
@@ -136,8 +136,6 @@ def analyze(p0: Protocol, r: int, params: C2Params) -> AdversaryOutcome:
     """
     if r < 1:
         raise ValueError("budget must be >= 1")
-    if p0.params not in (None, params):
-        raise StageMismatch(f"analyze on family {params} got a protocol for {p0.params}")
     _check_sweep_cap(params)
     p3 = transform_chain(p0, params, 3)
     pr = run_prune(p3, r, params)

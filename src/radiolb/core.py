@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NonSourceRoundZero, SpontaneityViolation, UnknownLabel
+from .errors import NonSourceRoundZero, SpontaneityViolation, StageMismatch, UnknownLabel
 
 SOURCE = 0
 
@@ -233,6 +233,12 @@ def step_round(net: Network, actions: dict[int, Action], round: int) -> RoundRec
     return RoundRecord(round, dict(actions), deliveries, frozenset(collided))
 
 
+def require_family(op: str, family, proto) -> None:
+    """Refuse a protocol built for other family parameters (when both are set)."""
+    if None not in (family, proto.params) and family != proto.params:
+        raise StageMismatch(f"{op} on family {family} got a protocol for {proto.params}")
+
+
 class Execution:
     """A run in progress: each ``step()`` plays one more round and returns
     its record.
@@ -241,7 +247,8 @@ class Execution:
     view: each round the execution asks every node for its action, executes
     the round, then hands every node its observation. ``setup`` binds the
     protocol for a run of ``max_rounds`` rounds (it is told that length),
-    and the execution stops there.
+    and the execution stops there. A protocol built for other family
+    parameters than the network's is refused.
 
     Round 0 permits only the source to transmit; at any later round a node
     may transmit only if it is the source or has received at least one
@@ -257,6 +264,7 @@ class Execution:
                  collect_violations: list | None = None):
         if SOURCE not in net.labels:
             raise UnknownLabel("network has no source node (label 0)")
+        require_family(proto.name, net.c2_params, proto)
         if proto.setup is not None:
             proto = proto.setup(net, max_rounds)
 

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from . import core
 from .c2 import C2Params, TopologyVector, build_c2, component_net, component_of, enumerate_c2
 from .core import SOURCE, ComponentDesc, Network, Transmit
-from .errors import ProtocolBindingError
 from .protocols import Protocol, StageTag
-from .reductions import AdviceString, pi4_with_advice, require_stage
+from .reductions import AdviceString, c2_taus, pi4_with_advice, require_stage
 
 
 @dataclass(frozen=True)
@@ -77,10 +76,9 @@ def _heard(table: dict, tv: TopologyVector) -> list[int]:
     return sorted(x for i, tau in enumerate(tv.taus) for x in table[i, tau])
 
 
-def _prune(p3: Protocol, vectors, r: int, params: C2Params, op: str):
+def _prune(p3: Protocol, vectors, r: int, params: C2Params):
     """``run_prune``'s survivor rule on ``vectors``: the survivors, the events
     and advice they share, and the smallest survivor's marks."""
-    require_stage(p3, StageTag.PI3, op, params)
     survivors, events, entries, tables = list(vectors), [], [], []
     # Every live run reads this one advice, whose entries grow as events are
     # decided: a stage-4 middle node reads entry s only at its act in round
@@ -109,24 +107,23 @@ def _prune(p3: Protocol, vectors, r: int, params: C2Params, op: str):
     return survivors, tuple(events), AdviceString(tuple(entries)), marked
 
 
-def _one(p3: Protocol, net: Network, r: int, params: C2Params, op: str):
-    """Prune the one-vector family of a c2 network."""
-    if net.c2_taus is None:
-        raise ProtocolBindingError("stage-3 protocols run only on c2 networks")
-    return _prune(p3, [TopologyVector(net.c2_taus)], r, params, op)
+def _one(p3: Protocol, net: Network, r: int, op: str):
+    """Prune the one-vector family of a c2 network under its own family."""
+    require_stage(p3, StageTag.PI3, op, net.c2_params)
+    return _prune(p3, [TopologyVector(c2_taus(net))], r, net.c2_params)
 
 
 def event_sequence(p3: Protocol, net: Network, r: int, params: C2Params) -> tuple[Event, ...]:
-    """Events at t = 1..r-1 on one c2 network."""
-    return _one(p3, net, r, params, "event_sequence")[1]
+    """Events at t = 1..r-1 on one c2 network of family ``params``."""
+    core.require_family("event_sequence", params, p3)
+    return _one(p3, net, r, "event_sequence")[1]
 
 
 def classify_event(p3: Protocol, net: Network, t: int) -> Event:
     """The event at source round 3t (from the middle-layer round 3t-2)."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    params = net.c2_params
-    return event_sequence(p3, net, t + 1, params)[t - 1]
+    return event_sequence(p3, net, t + 1, net.c2_params)[t - 1]
 
 
 def run_prune(p3: Protocol, r: int, params: C2Params) -> PruneResult:
@@ -141,7 +138,7 @@ def run_prune(p3: Protocol, r: int, params: C2Params) -> PruneResult:
     require_stage(p3, StageTag.PI3, "run_prune", params)
     if r < 1:
         raise ValueError("r must be >= 1")
-    survivors, _, advice, marked = _prune(p3, enumerate_c2(params), r, params, "run_prune")
+    survivors, _, advice, marked = _prune(p3, enumerate_c2(params), r, params)
     base = min(survivors)
     free = next((i for i in range(params.m) if i not in marked), None)
     # the shared events, read through event_sequence so perfbench's tracing counts it
@@ -156,7 +153,7 @@ def mark_components(p3: Protocol, base: Network, r: int) -> frozenset[int]:
     collision marks the components of the two transmitting nodes with the
     smallest labels (any fixed pair works, so take the canonical one).
     """
-    return _one(p3, base, r, base.c2_params, "mark_components")[3]
+    return _one(p3, base, r, "mark_components")[3]
 
 
 def membership(

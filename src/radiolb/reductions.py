@@ -17,11 +17,12 @@ layers:
   stage 4  the source transmits the whole descriptor sequence once, as an
            advice string attached to the round-0 payload, then stays silent.
 
-On c2 networks, middle- and leaf-layer transmissions are identical, round
-for round, across all four stages; only the source's column of the trace
-changes. On other networks they need not be: a stage 2-4 middle node hears
-phi in sub-round 1, so on a hand-built network with an edge between two
-middle nodes it misses what its stage-1 run hears there.
+For sources that ignore sender labels, middle- and leaf-layer
+transmissions are identical round for round across the stages; only the
+source's column of the trace changes. Stage 2 matches stage 1 on any
+network over the c2 labels whose source is adjacent to exactly the middle
+layer. Stages 3 and 4 match it on c2 networks: they rebuild echoes by
+simulating one component alone, which ignores any other edge.
 
 Every staged node but a stage 2-4 source is one ``_Phased``: its base node
 process, fed one collapsed observation per round triple at its next act. A
@@ -89,10 +90,8 @@ class AdviceString:
         if not text.startswith("adv:"):
             raise ValueError(f"not an advice encoding: {text!r}")
         body = text[4:]
-        if not body:
-            return AdviceString(())
         entries: list[ComponentDesc | None] = []
-        for part in body.split(","):
+        for part in body.split(",") if body else ():
             if part == "phi":
                 entries.append(None)
             else:
@@ -106,8 +105,7 @@ def require_stage(proto: Protocol, stage: StageTag, op: str, params=None) -> Non
         raise StageMismatch(f"{op} needs a {stage.value} protocol, got {proto.stage.value}")
     if proto.params is None:
         raise StageMismatch(f"{op} needs a protocol carrying family parameters")
-    if params not in (None, proto.params):
-        raise StageMismatch(f"{op} on family {params} got a protocol for {proto.params}")
+    core.require_family(op, params, proto)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +123,11 @@ class _Phased:
     the current stage's first. Each step takes ``(s, obs)`` for the
     observation of round 3s, round 0 included, and hands the next what a
     source one stage lower would have sent; the last yields the stage-1
-    source's message. Such a node hears phi in sub-round 1. The column's
-    checks raise at the act that hands them on, which the advice budget
-    counts on: a stage-4 node reads advice entry s only at its act in round
-    3s+1, so a run that stops after round 3s needs no entry s.
+    source's message. Every other observation is handed on as the network
+    delivered it. The column's checks raise at the act that hands them on,
+    which the advice budget counts on: a stage-4 node reads advice entry s
+    only at its act in round 3s+1, so a run that stops after round 3s needs
+    no entry s.
     """
 
     def __init__(self, base, layer: int, column: tuple = ()):
@@ -142,11 +141,9 @@ class _Phased:
         if phase != self.layer:
             return LISTEN
         for r, obs in enumerate(self.pending, round - len(self.pending)):
-            if self.column and r % 3 == 0:
+            if r % 3 == 0:
                 for step in self.column:
                     obs = step(r // 3, obs)
-            elif self.column and r % 3 == 1:
-                obs = PHI
             if isinstance(obs, Received):
                 self.got.append(obs)
             if r % 3 == 2:
@@ -162,7 +159,9 @@ class _Phased:
 
 
 def to_pi1(p0: Protocol, params: C2Params) -> Protocol:
-    """Phase-separate a base protocol over round triples (stage 1)."""
+    """Phase-separate a base protocol over round triples (stage 1). One built
+    for other family parameters is refused here: runs see only ``params``."""
+    core.require_family("to_pi1", params, p0)
 
     def node(own, neighbors):
         return _Phased(spawn(p0, own, neighbors), layer_of(own, params))
@@ -242,9 +241,9 @@ class _Echo:
 
 
 def to_pi2(p1: Protocol) -> Protocol:
-    """Make the source a pure repeater (stage 2). Middle and leaf columns
-    match stage 1's on c2 networks only: on a hand-built network with an
-    edge between two middle nodes, a middle node hears phi in sub-round 1."""
+    """Make the source a pure repeater (stage 2). For a source that ignores
+    sender labels, middle and leaf columns match stage 1's on any network
+    over the c2 labels whose source is adjacent to exactly the middle layer."""
     require_stage(p1, StageTag.PI1, "to_pi2")
     params = p1.params
     all_l1 = tuple(range(1, params.m * params.k + 1))
@@ -344,6 +343,13 @@ class _Desc:
         return PHI if echo is None else Received(SOURCE, echo)
 
 
+def c2_taus(net: Network) -> tuple[int, ...]:
+    """The stage-3 source's private input, which only a c2 network has."""
+    if net.c2_taus is None:
+        raise ProtocolBindingError("stage-3 protocols run only on c2 networks")
+    return net.c2_taus
+
+
 def to_pi3(p2: Protocol) -> Protocol:
     """Restrict the source to component descriptors (stage 3). The returned
     protocol is unbound; ``setup`` returns the copy whose source describes
@@ -354,12 +360,11 @@ def to_pi3(p2: Protocol) -> Protocol:
     desc = partial(_Desc, partial(_component_echo, p2, params, {}))
 
     def setup(net: Network, max_rounds: int) -> Protocol:
-        if net.c2_taus is None:
-            raise ProtocolBindingError("stage-3 protocols run only on c2 networks")
+        taus = c2_taus(net)
 
         def describe(heard):
             comp = component_of(heard.sender, params)
-            return ComponentDesc(comp, net.c2_taus[comp])
+            return ComponentDesc(comp, taus[comp])
 
         return _staged(p2, StageTag.PI3, partial(_Source, BroadcastPayload(PAYLOAD), describe),
                        desc)
@@ -381,16 +386,11 @@ def make_advice(p3: Protocol, net: Network, r: int) -> AdviceString:
     if r <= 1:
         return AdviceString(())
     trace = core.run(net, p3, 3 * (r - 1) + 1)
-    entries: list[ComponentDesc | None] = []
-    for t in range(1, r):
-        act = trace.rounds[3 * t].actions[SOURCE]
-        if isinstance(act, Transmit):
-            if not isinstance(act.message, ComponentDesc):
-                raise StageMismatch("stage-3 source transmitted a non-descriptor")
-            entries.append(act.message)
-        else:
-            entries.append(None)
-    return AdviceString(tuple(entries))
+    acts = [trace.rounds[3 * t].actions[SOURCE] for t in range(1, r)]
+    entries = tuple(a.message if isinstance(a, Transmit) else None for a in acts)
+    if any(e is not None and not isinstance(e, ComponentDesc) for e in entries):
+        raise StageMismatch("stage-3 source transmitted a non-descriptor")
+    return AdviceString(entries)
 
 
 class _Advised:

@@ -147,11 +147,7 @@ def global_round_bound(n: int) -> int:
     """ceil(sqrt(n)/1536), the headline round lower bound; report only."""
     if n < 1:
         raise ValueError("n must be positive")
-    s = math.isqrt(n)
-    q = max(1, -(-s // ROUND_BOUND_DIVISOR))
-    while (ROUND_BOUND_DIVISOR * q) ** 2 < n:
-        q += 1
-    return q
+    return -(-(math.isqrt(n - 1) + 1) // ROUND_BOUND_DIVISOR)  # isqrt(n-1)+1 = ceil(sqrt(n))
 
 
 # ---------------------------------------------------------------------------

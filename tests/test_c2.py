@@ -113,6 +113,18 @@ def test_distinct_vectors_give_distinct_networks():
             assert a != b
 
 
+@pytest.mark.parametrize("m, k", [(0, 2), (2, 0)])
+def test_family_parameters_must_be_positive(m, k):
+    with pytest.raises(ValueError, match=r"^m and k must be positive$"):
+        C2Params(m, k)
+
+
+@pytest.mark.parametrize("label", [0, 5])
+def test_l1_index_refuses_labels_outside_the_middle_layer(label):
+    with pytest.raises(UnknownLabel, match=rf"^label {label} is not in the middle layer$"):
+        l1_index(label, C2Params(2, 2))
+
+
 def test_decode_rejects_garbage():
     with pytest.raises(ValueError):
         decode_c2("c3:m=1,k=1,taus=1")

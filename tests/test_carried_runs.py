@@ -105,7 +105,7 @@ def test_carried_prune_matches_restarting_reference(m, k):
         # separate stage-3 protocols: neither routine reads the other's echoes
         p3, ref3 = transform_chain(p0, params, 3), transform_chain(p0, params, 3)
         for r in range(1, 7):
-            got = outcome(lambda: _prune(p3, family, r, params, "test"))
+            got = outcome(lambda: _prune(p3, family, r, params))
             want = outcome(lambda: restart_prune(ref3, family, r, params))
             # a violation must be of the same kind, on the same node, in the same round
             assert got == want and str(got) == str(want), (p0.name, r)
@@ -121,7 +121,7 @@ def test_illegal_prey_fails_on_a_surviving_component():
     family = list(enumerate_c2(params))
     want = SpontaneityViolation(6, 5)
     assert outcome(lambda: restart_prune(p3, family, 4, params)) == want
-    assert outcome(lambda: _prune(p3, family, 4, params, "test")) == want
+    assert outcome(lambda: _prune(p3, family, 4, params)) == want
 
 
 def recorded_nets(monkeypatch, module):
@@ -153,7 +153,7 @@ def test_pruning_steps_each_component_run_once(monkeypatch, r):
     for p0 in (round_robin(params), cyclic_prey(params), hash_prey(params, 0)):
         rounds.clear()
         p3 = transform_chain(p0, params, 3)
-        _prune(p3, enumerate_c2(params), r, params, "test")
+        _prune(p3, enumerate_c2(params), r, params)
         assert rounds and max(rounds.values()) <= 3 * r - 4, (p0.name, rounds)
 
 

@@ -185,6 +185,12 @@ def test_execution_needs_a_source():
         Execution(net, silent_l1(C2Params(1, 1)), 1)
 
 
+def test_equal_violations_collapse_in_a_set():
+    found = {SpontaneityViolation(3, 4), SpontaneityViolation(3, 4), NonSourceRoundZero(3),
+             SpontaneityViolation(3, 0), SpontaneityViolation(2, 4)}
+    assert len(found) == 4
+
+
 def test_a_step_returning_a_non_action_names_protocol_and_node():
     proto = Protocol("mute", lambda ctx: None if ctx.own_label == 1 else LISTEN)
     ex = Execution(path3(), proto, 1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from radiolb import (
@@ -62,6 +64,20 @@ def test_classify_requires_stage_three(params12):
     p1 = to_pi1(round_robin(params12), params12)
     with pytest.raises(StageMismatch):
         classify_event(p1, build_c2(params12, TopologyVector((1,))), 1)
+
+
+@pytest.mark.parametrize("other", [C2Params(2, 3), C2Params(1, 2)])
+def test_event_sequence_prunes_under_the_networks_family(other, params22):
+    # The family argument agrees with the protocol but the network does not:
+    # pruning its one-vector family under the network's parameters refuses
+    # it instead of answering with (2,2) events. Each side is checked.
+    p3 = pi3(round_robin, params22)
+    net = build_c2(other, TopologyVector((1,) * other.m))
+    msg = f"event_sequence on family {other} got a protocol for {params22}"
+    with pytest.raises(StageMismatch, match=f"^{re.escape(msg)}$"):
+        event_sequence(p3, net, 4, params22)
+    with pytest.raises(StageMismatch, match=f"^{re.escape(msg)}$"):
+        event_sequence(p3, build_c2(params22, TopologyVector((1, 1))), 4, other)
 
 
 def test_classify_and_prune_refuse_rounds_below_one(params12):

@@ -26,8 +26,11 @@ from radiolb import (
     ComponentDesc,
     HistoryNode,
     Network,
+    Opaque,
+    Protocol,
     Received,
     SetFamily,
+    StageTag,
     TopologyVector,
     Transmit,
     build_c2,
@@ -296,6 +299,20 @@ def test_advice_encoding_round_trip():
     adv = AdviceString((None, ComponentDesc(1, 5), None, ComponentDesc(0, 2)))
     assert AdviceString.decode(adv.encode()) == adv
     assert AdviceString.decode("adv:") == AdviceString(())
+    with pytest.raises(ValueError, match=r"^not an advice encoding: 'phi'$"):
+        AdviceString.decode("phi")
+
+
+def test_advice_of_a_source_sending_a_non_descriptor_is_refused(params12):
+    # tagged stage 3, but its source sends an opaque message in round 3
+    def step(ctx):
+        if ctx.own_label != SOURCE or ctx.round not in (0, 3):
+            return LISTEN
+        return Transmit(BroadcastPayload(PAYLOAD) if ctx.round == 0 else Opaque(b"x"))
+
+    p3 = Protocol("opaque-source", step, stage=StageTag.PI3, params=params12)
+    with pytest.raises(StageMismatch, match=r"^stage-3 source transmitted a non-descriptor$"):
+        make_advice(p3, build_c2(params12, TopologyVector((1,))), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +374,16 @@ def test_short_advice_is_refused_at_the_act_that_reads_it(params22):
         run(net, p4, 5)
 
 
+def test_advice_holding_a_non_descriptor_is_refused(params12):
+    # advice entry 1 reaches the stage-3 self as the round-3 observation
+    p3 = transform_chain(round_robin(params12), params12, 3)
+    p4 = pi4_with_advice(p3, AdviceString((Opaque(b"x"),)))
+    net = build_c2(params12, TopologyVector((1,)))
+    with pytest.raises(ProtocolBindingError,
+                       match=r"^expected a component descriptor at round 3$"):
+        run(net, p4, 5)
+
+
 def test_middle_node_without_advice_refuses_to_act(params22):
     p3 = to_pi3(to_pi2(to_pi1(round_robin(params22), params22)))
     node = spawn(pi4_with_advice(p3, AdviceString(())), 1, (SOURCE, 5))
@@ -385,20 +412,20 @@ def test_staged_node_holds_its_base_self_directly(stage, params22):
         assert len(node.column) == (stage - 1 if layer_of(x, params22) == 1 else 0)
 
 
-def test_middle_nodes_hear_phi_in_sub_round_one(params22):
+def test_middle_nodes_hear_what_the_network_delivers_at_every_stage(params22):
     # A hand-built edge between middle nodes 1 and 3 delivers node 1's
-    # round-4 transmission to node 3. Node 3's stage-1 self hears it; from
-    # stage 2 on, sub-round 1 is phi for a middle node's stage-1 self.
+    # round-4 transmission to node 3. Every stage hands it to node 3's base
+    # self: only the sub-round-0 observation is rebuilt by a middle node's
+    # column.
     c2net = build_c2(params22, TopologyVector((1, 1)))
-    edges = [(a, b) for a in c2net.labels for b in c2net.neighbors(a) if a < b]
-    net = Network(c2net.labels, edges + [(1, 3)], c2_params=params22, c2_taus=(1, 1))
+    net = Network(c2net.labels, sorted(c2net.edges()) + [(1, 3)], c2_params=params22,
+                  c2_taus=(1, 1))
     p0 = round_robin(params22)
     for stage in (1, 2, 3, 4):
         ex = core.Execution(net, transform_chain(p0, params22, stage), 8)
         for _ in range(8):  # triple 1 reaches node 3's base self at its act in round 7
             ex.step()
-        heard = Received(1, BroadcastPayload(PAYLOAD)) if stage == 1 else PHI
-        assert ex.nodes[3].base.history[1] == heard
+        assert ex.nodes[3].base.history[1] == Received(1, BroadcastPayload(PAYLOAD)), stage
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +446,26 @@ def test_stage_mismatch_errors(params12):
         make_advice(p2, build_c2(params12, TopologyVector((1,))), 2)
     with pytest.raises(StageMismatch):
         pi4_with_advice(p1, AdviceString(()))
+    with pytest.raises(StageMismatch, match=r"^to_pi2 needs a protocol carrying family parameters$"):
+        to_pi2(dataclasses.replace(p1, params=None))
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_a_run_on_another_familys_network_is_refused(stage):
+    # node 3 is a leaf of (1,2) but a middle node of (2,2): the run would
+    # complete at round 5 for stages 1 and 3 if the engine let it start
+    params = C2Params(2, 2)
+    net = build_c2(C2Params(1, 2), TopologyVector((3,)))
+    proto = transform_chain(round_robin(params), params, stage)
+    msg = f"{proto.name} on family {C2Params(1, 2)} got a protocol for {params}"
+    with pytest.raises(StageMismatch, match=f"^{re.escape(msg)}$"):
+        run(net, proto, 12)
+
+
+def test_to_pi1_refuses_a_base_protocol_for_another_family(params12, params22):
+    msg = f"to_pi1 on family {params12} got a protocol for {params22}"
+    with pytest.raises(StageMismatch, match=f"^{re.escape(msg)}$"):
+        to_pi1(round_robin(params22), params12)
 
 
 def test_only_a_bound_protocol_spawns(params22):

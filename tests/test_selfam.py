@@ -241,6 +241,23 @@ def test_global_round_bound():
     assert global_round_bound(1536**2 + 1) == 2
 
 
+def test_global_round_bound_is_the_ceiling_of_sqrt_n_over_1536():
+    # ceil(sqrt(n)/D) is the q with (D(q-1))^2 < n <= (Dq)^2
+    d = selfam.ROUND_BOUND_DIVISOR
+    ns = [*range(1, 3000), *((d * q) ** 2 + e for q in range(1, 200) for e in (-1, 0, 1)),
+          10**30 + 7, (d * 10**12) ** 2 + 1]
+    for n in ns:
+        q = global_round_bound(n)
+        assert (d * (q - 1)) ** 2 < n <= (d * q) ** 2, n
+
+
+def test_bounds_and_checks_refuse_a_universe_below_one():
+    with pytest.raises(ValueError, match=r"^n must be positive$"):
+        global_round_bound(0)
+    with pytest.raises(ValueError, match=r"^universe must be positive$"):
+        is_selective(SetFamily(0, ()), 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------
