@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import core
-from .c2 import C2Params, TopologyVector, build_c2, component_net, enumerate_c2, l1_index, l2_label
-from .core import Received, Transmit
+from .c2 import C2Params, TopologyVector, build_c2, enumerate_c2, l2_label
 from .errors import FreeComponentMissing, UniverseTooLarge, WitnessInconsistency
-from .prune import run_prune
+from .prune import component_tx, run_prune
 from .protocols import Protocol, StageTag
 from .reductions import pi4_with_advice, require_stage, transform_chain
 from .selfam import SELECTIVITY_UNIVERSE_CAP, mask_to_indices
@@ -63,13 +62,15 @@ def _check_sweep_cap(params: C2Params) -> None:
 
 
 def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> DerivedFamily:
-    """Simulate the advised stage-4 protocol ``p4`` on the free component
-    alone (``c2.component_net``) for every adjacency subset Z, where it
-    acts exactly as in the base network's Z-variant.
+    """Read the advised stage-4 ``p4``'s run on the free component alone
+    (``prune.component_tx``, all 3r rounds) for every adjacency subset Z,
+    where it acts exactly as in the base network's Z-variant.
 
-    A middle index x joins set j when, on some variant where x is adjacent
-    to the leaf, x transmits in round 3j+1 while the leaf has heard nothing
-    through round 3j.
+    Stage-4 middle nodes transmit only in rounds 3j+1, when the leaf
+    listens, and the source is not the leaf's neighbour; so the leaf first
+    hears in round 3j+1 for the first j whose mask meets Z in one node.
+    Set j holds the indices in Z that transmit then on some variant whose
+    leaf has not heard before.
 
     Raises ``UniverseTooLarge`` before simulating anything when k exceeds
     the sweep's cap.
@@ -78,19 +79,15 @@ def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> DerivedF
     if free is None:
         raise FreeComponentMissing("no free component to vary")
     _check_sweep_cap(params)
-    leaf = l2_label(params, free)
     sets = [0] * r
     first_success: dict[int, int | None] = {}
     for z in range(1, 1 << params.k):
-        net = component_net(params, free, z)
-        rounds = core.run(net, p4, 3 * r).rounds
-        heard = [rec.round for rec in rounds if isinstance(rec.deliveries[leaf], Received)]
-        first_success[z] = heard[0] if heard else None
-        # rounds 3j+1 through the leaf's first reception
-        for j, rec in enumerate(rounds[1:heard[0] + 1 if heard else 3 * r:3]):
-            for x in net.neighbors(leaf):
-                if isinstance(rec.actions[x], Transmit):
-                    sets[j] |= 1 << l1_index(x, params)
+        heard = None
+        for j, mask in enumerate(component_tx(p4, params, free, z, 3 * r)):
+            if heard is None:
+                sets[j] |= mask & z
+                heard = 3 * j + 1 if (mask & z).bit_count() == 1 else None
+        first_success[z] = heard
     return DerivedFamily(params.k, tuple(sets), first_success)
 
 
@@ -129,10 +126,10 @@ def analyze(p0: Protocol, r: int, params: C2Params) -> AdversaryOutcome:
     """Run the full pipeline and report the witness plus derived family.
 
     Every returned witness has been confirmed by a direct run of the
-    original protocol. A None witness means every probe completed within
-    budget (the protocol survives on this family). A k above the Z-sweep's
-    cap is refused before anything runs, even where pruning would have
-    fallen back to the direct scan.
+    original protocol. A None witness means the construction found none; it
+    is exhaustive only after the direct-scan fallback (``family`` None). A k
+    above the Z-sweep's cap is refused before anything runs, even where
+    pruning would have fallen back to the direct scan.
     """
     if r < 1:
         raise ValueError("budget must be >= 1")

@@ -38,6 +38,7 @@ protocol's runs and dropped with it.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -89,14 +90,13 @@ class AdviceString:
     def decode(text: str) -> "AdviceString":
         if not text.startswith("adv:"):
             raise ValueError(f"not an advice encoding: {text!r}")
-        body = text[4:]
         entries: list[ComponentDesc | None] = []
-        for part in body.split(",") if body else ():
-            if part == "phi":
-                entries.append(None)
-            else:
-                i, tau = part.split(":")
-                entries.append(ComponentDesc(int(i), int(tau)))
+        for part in text[4:].split(",") if text[4:] else ():
+            # exactly what encode writes: phi or <i>:<tau> with i >= 0 and tau >= 1
+            match = re.fullmatch(r"(0|[1-9][0-9]*):([1-9][0-9]*)", part)
+            if not match and part != "phi":
+                raise ValueError(f"not an advice encoding: {text!r}")
+            entries.append(ComponentDesc(int(match[1]), int(match[2])) if match else None)
         return AdviceString(tuple(entries))
 
 

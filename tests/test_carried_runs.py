@@ -6,7 +6,8 @@ on as the advice grows; a stage-3 protocol keeps one echo simulation per
 shorter script that agrees with it from its record. The reference
 below is the pruning routine that restarted every component run at round 0
 for each t. The round-count tests count the engine rounds played on each
-component network and fail for any routine that replays.
+component network and fail for any routine that replays, or for a Z-sweep
+that stops a variant's run before its last round.
 """
 
 from __future__ import annotations
@@ -25,19 +26,21 @@ from radiolb import (
     Transmit,
     build_c2,
     core,
+    derive_family,
     enumerate_c2,
     make_advice,
     pi4_with_advice,
     prune,
     reductions,
     round_robin,
+    run_prune,
     selfam_driven,
     silent_l1,
     transform_chain,
 )
 from radiolb.c2 import component_net, component_of
 from radiolb.errors import LegalityViolation, SpontaneityViolation
-from radiolb.prune import COLLISION, SILENT, Single, _event, _heard, _prune
+from radiolb.prune import COLLISION, SILENT, Single, _prune
 
 from preys import (
     cyclic_prey,
@@ -47,6 +50,20 @@ from preys import (
     sender_answer_prey,
     spontaneous_leaf_prey,
 )
+
+
+def heard(table, tv):
+    """The sorted transmitters of ``tv`` in one round, from per-pair label lists."""
+    return sorted(x for i, tau in enumerate(tv.taus) for x in table[i, tau])
+
+
+def label_event(txs, taus, params):
+    if not txs:
+        return SILENT
+    if len(txs) >= 2:
+        return COLLISION
+    comp = component_of(txs[0], params)
+    return Single(comp, taus[comp])
 
 
 def restart_prune(p3, vectors, r, params):
@@ -62,14 +79,14 @@ def restart_prune(p3, vectors, r, params):
             table[i, tau] = [x for x, a in rec.actions.items()
                              if x != SOURCE and isinstance(a, Transmit)]
         tables.append(table)
-        seen = {tv: _event(_heard(table, tv), tv.taus, params) for tv in survivors}
+        seen = {tv: label_event(heard(table, tv), tv.taus, params) for tv in survivors}
         singles = [tv for tv in survivors if isinstance(seen[tv], Single)]
         e = COLLISION if COLLISION in seen.values() else seen[min(singles)] if singles else SILENT
         survivors = [tv for tv in survivors if seen[tv] == e]
         events.append(e)
         entries.append(ComponentDesc(e.component, e.tau) if isinstance(e, Single) else None)
     base = min(survivors)
-    marked = frozenset(component_of(x, params) for table in tables for x in _heard(table, base)[:2])
+    marked = frozenset(component_of(x, params) for table in tables for x in heard(table, base)[:2])
     return survivors, tuple(events), AdviceString(tuple(entries)), marked
 
 
@@ -155,6 +172,20 @@ def test_pruning_steps_each_component_run_once(monkeypatch, r):
         p3 = transform_chain(p0, params, 3)
         _prune(p3, enumerate_c2(params), r, params)
         assert rounds and max(rounds.values()) <= 3 * r - 4, (p0.name, rounds)
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_z_sweep_plays_every_round_of_every_variant(monkeypatch, r):
+    # On hash-0's free component most leaves hear in round 4 or 7, before
+    # the last round 3r-2 that the sweep reads; a sweep that stopped a run
+    # there would skip the acts at which an illegal prey raises.
+    params = C2Params(2, 3)
+    rounds = recorded_nets(monkeypatch, prune)
+    p3 = transform_chain(hash_prey(params, 0), params, 3)
+    pr = run_prune(p3, r, params)
+    rounds.clear()
+    derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, r, params)
+    assert rounds == {(pr.free_component, z): 3 * r for z in range(1, 1 << params.k)}
 
 
 def test_echo_rebuild_steps_each_component_once(monkeypatch):

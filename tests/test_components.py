@@ -4,7 +4,10 @@ Pruning and the Z-sweep simulate one component at a time (the source plus
 component i alone). The references below do what the per-component code
 replaces: one whole-network stage-3 run per network for events and marks,
 the survivor rule over the whole family's event table, and one
-whole-network stage-4 run per Z-variant for the derived family.
+whole-network stage-4 run per Z-variant for the derived family. A second
+Z-sweep reference runs each Z-variant of the free component alone and
+scans the leaf's deliveries and neighbours, sharing nothing with the
+sweep's transmitter masks.
 """
 
 from __future__ import annotations
@@ -36,10 +39,17 @@ from radiolb import (
     transform_chain,
 )
 from radiolb.c2 import component_net, component_of, l1_index, l2_label, layer_of
-from radiolb.errors import ProtocolBindingError
+from radiolb.errors import LegalityViolation, ProtocolBindingError
 from radiolb.prune import COLLISION, SILENT, Collision
 
-from preys import hash_prey, leaf_ack_prey, relay_prey, sender_answer_prey
+from preys import (
+    cyclic_prey,
+    hash_prey,
+    leaf_ack_prey,
+    relay_prey,
+    sender_answer_prey,
+    spontaneous_leaf_prey,
+)
 
 
 def protocols(params):
@@ -128,6 +138,55 @@ def whole_derive_family(p4, pr, free, r, params):
     return DerivedFamily(params.k, tuple(sets), first_success)
 
 
+def scan_derive_family(p4, free, r, params):
+    """The Z-sweep as one ``core.run`` per Z-variant of the free component
+    alone, scanning the leaf's deliveries for its first reception and the
+    leaf's neighbours for the transmitters of rounds 3j+1 up to it."""
+    leaf = l2_label(params, free)
+    sets = [0] * r
+    first_success = {}
+    for z in range(1, 1 << params.k):
+        net = component_net(params, free, z)
+        rounds = core.run(net, p4, 3 * r).rounds
+        heard = [rec.round for rec in rounds if isinstance(rec.deliveries[leaf], Received)]
+        first_success[z] = heard[0] if heard else None
+        for j, rec in enumerate(rounds[1:heard[0] + 1 if heard else 3 * r:3]):
+            for x in net.neighbors(leaf):
+                if isinstance(rec.actions[x], Transmit):
+                    sets[j] |= 1 << l1_index(x, params)
+    return DerivedFamily(params.k, tuple(sets), first_success)
+
+
+def outcome(fn):
+    """What ``fn`` returns, or the legality violation it raises."""
+    try:
+        return fn()
+    except LegalityViolation as exc:
+        return exc
+
+
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3)])
+def test_z_sweep_matches_per_variant_scan(m, k):
+    params = C2Params(m, k)
+    raised = set()
+    for p0 in protocols(params) + [cyclic_prey(params), spontaneous_leaf_prey(params)]:
+        # separate stage-3 protocols: neither sweep reads the other's echoes
+        p3, ref3 = transform_chain(p0, params, 3), transform_chain(p0, params, 3)
+        for r in range(1, 6):
+            pr = outcome(lambda: run_prune(p3, r, params))
+            # where pruning itself fails (an illegal prey), sweep under all-phi advice
+            advice = pr.advice if isinstance(pr, PruneResult) else AdviceString((None,) * (r - 1))
+            for free in range(m):
+                got = outcome(lambda: derive_family(pi4_with_advice(p3, advice), free, r, params))
+                want = outcome(lambda: scan_derive_family(
+                    pi4_with_advice(ref3, advice), free, r, params))
+                # a DerivedFamily's text is its repr, so this compares every field
+                assert (type(got), str(got)) == (type(want), str(want)), (p0.name, r, free)
+                if isinstance(got, LegalityViolation):
+                    raised.add(p0.name)
+    assert raised == {"spontaneous-leaf"}
+
+
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3)])
 def test_component_analysis_matches_whole_networks(m, k):
     params = C2Params(m, k)
@@ -164,19 +223,13 @@ def test_stage_three_runs_only_on_c2_networks(params22):
 
 def test_analysis_runs_only_single_components(monkeypatch):
     params = C2Params(2, 3)
-    sizes, stepped = [], []  # nodes per core.run call / per core.Execution
-    real_run = core.run
-
-    def recording_run(net, proto, max_rounds, **kwargs):
-        sizes.append(net.n)
-        return real_run(net, proto, max_rounds, **kwargs)
+    stepped = []  # nodes per core.Execution
 
     class RecordingExecution(core.Execution):
         def __init__(self, net, proto, max_rounds, **kwargs):
             stepped.append(net.n)
             super().__init__(net, proto, max_rounds, **kwargs)
 
-    monkeypatch.setattr(core, "run", recording_run)
     monkeypatch.setattr(core, "Execution", RecordingExecution)
     for p0 in (round_robin(params), leaf_ack_prey(params)):
         p3 = transform_chain(p0, params, 3)
@@ -184,6 +237,7 @@ def test_analysis_runs_only_single_components(monkeypatch):
         pr = run_prune(p3, 4, params)
         assert len(stepped) > before  # prune's own runs are recorded
         assert pr.free_component is not None
+        before = len(stepped)
         derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, 4, params)
-    assert sizes and set(sizes) == {params.k + 2}
+        assert len(stepped) - before >= (1 << params.k) - 1  # one run per Z at least
     assert set(stepped) == {params.k + 2}
