@@ -15,13 +15,14 @@ the answer stays truthful at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import core
-from .c2 import C2Params, TopologyVector, build_c2, enumerate_c2, l2_label
-from .errors import FreeComponentMissing, UniverseTooLarge, WitnessInconsistency
+from .c2 import C2Params, TopologyVector, build_c2, enumerate_c2, l1_label, l2_label
+from .errors import (FreeComponentMissing, NonSourceRoundZero, SpontaneityViolation,
+                     UniverseTooLarge, WitnessInconsistency)
 from .prune import component_tx, run_prune
-from .protocols import Protocol, StageTag
+from .protocols import Protocol, StageTag, silent_l1, spawn
 from .reductions import pi4_with_advice, require_stage, transform_chain
 from .selfam import SELECTIVITY_UNIVERSE_CAP, mask_to_indices
 
@@ -54,7 +55,7 @@ class AdversaryOutcome:
 
 
 def _check_sweep_cap(params: C2Params) -> None:
-    """The Z-sweep covers all 2^k - 1 subsets Z, so it shares
+    """The Z-sweep's bitmask loop covers all 2^k - 1 subsets Z, so it shares
     ``is_selective``'s cap on the universe."""
     if params.k > SELECTIVITY_UNIVERSE_CAP:
         raise UniverseTooLarge(
@@ -62,15 +63,22 @@ def _check_sweep_cap(params: C2Params) -> None:
 
 
 def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> DerivedFamily:
-    """Read the advised stage-4 ``p4``'s run on the free component alone
-    (``prune.component_tx``, all 3r rounds) for every adjacency subset Z,
-    where it acts exactly as in the base network's Z-variant.
-
-    Stage-4 middle nodes transmit only in rounds 3j+1, when the leaf
-    listens, and the source is not the leaf's neighbour; so the leaf first
+    """Read one advised stage-4 run of ``p4`` on the free component alone
+    (``prune.component_tx``, all 3r rounds) under tau = 2^k - 1, its leaf
+    held silent. Middle nodes are not adjacent to each other and the source
+    is silent after round 0, so until Z's leaf first hears, a middle node
+    in Z acts as in the base network's Z-variant. Stage-4 middle nodes
+    transmit only in rounds 3j+1, when the leaf listens; so Z's leaf first
     hears in round 3j+1 for the first j whose mask meets Z in one node.
     Set j holds the indices in Z that transmit then on some variant whose
     leaf has not heard before.
+
+    Z's own leaf, with Z's middle nodes as its neighbours, is stepped on
+    phi through its hearing round, so an illegal leaf raises at the act of
+    its variant's run: a round of the shared run plays before the leaf
+    acts in it, and the run plays to its end before Z = 2's leaf acts. A
+    leaf is not played after it has heard: nothing it does then reaches
+    the family, and it can no longer transmit spontaneously.
 
     Raises ``UniverseTooLarge`` before simulating anything when k exceeds
     the sweep's cap.
@@ -79,15 +87,24 @@ def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> DerivedF
     if free is None:
         raise FreeComponentMissing("no free component to vary")
     _check_sweep_cap(params)
-    sets = [0] * r
-    first_success: dict[int, int | None] = {}
-    for z in range(1, 1 << params.k):
-        heard = None
-        for j, mask in enumerate(component_tx(p4, params, free, z, 3 * r)):
-            if heard is None:
-                sets[j] |= mask & z
-                heard = 3 * j + 1 if (mask & z).bit_count() == 1 else None
-        first_success[z] = heard
+    leaf, silent = l2_label(params, free), silent_l1(params)
+    held = replace(p4, node=lambda own, nbrs: spawn(silent if own == leaf else p4, own, nbrs))
+    run, masks = component_tx(held, params, free, (1 << params.k) - 1, 3 * r), []
+    sets, first_success = [0] * r, dict.fromkeys(range(1, 1 << params.k))
+    for z in first_success:
+        node = spawn(p4, leaf, tuple(l1_label(params, free, j) for j in mask_to_indices(z)))
+        for t in range(3 * r):
+            if t % 3 == 1 and len(masks) == t // 3:
+                masks.append(next(run))
+            if isinstance(node.act(t), core.Transmit):  # it has not heard yet
+                raise SpontaneityViolation(leaf, t) if t else NonSourceRoundZero(leaf)
+            hit = masks[t // 3] & z if t % 3 == 1 else 0
+            sets[t // 3] |= hit
+            if hit.bit_count() == 1:
+                first_success[z] = t
+                break
+            node.observe(core.PHI)
+        masks += run  # Z = 1's run plays to its end before any other leaf acts
     return DerivedFamily(params.k, tuple(sets), first_success)
 
 

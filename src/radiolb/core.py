@@ -201,35 +201,30 @@ class Trace:
 
 
 def step_round(net: Network, actions: dict[int, Action], round: int) -> RoundRecord:
-    """Execute one synchronous round and compute all deliveries.
+    """Execute one synchronous round, walking each transmitter's neighbours for deliveries.
 
     Every node of the network must have exactly one action. Raises
     UnknownLabel if the map mentions a node outside the network.
     """
-    for x in actions:
-        if x not in net.labels:
-            raise UnknownLabel(f"action for non-node {x}")
-    missing = net.labels - actions.keys()
-    if missing:
-        raise ValueError(f"missing actions for nodes {sorted(missing)}")
+    if actions.keys() != net.labels:
+        for x in actions:
+            if x not in net.labels:
+                raise UnknownLabel(f"action for non-node {x}")
+        raise ValueError(f"missing actions for nodes {sorted(net.labels - actions.keys())}")
 
-    transmitters = {
-        x: a.message for x, a in actions.items() if isinstance(a, Transmit)
-    }
-    deliveries: dict[int, Observation] = {}
+    sender: dict[int, int] = {}  # node -> its one transmitting neighbour, -1 once two transmit
+    for v, a in actions.items():
+        if isinstance(a, Transmit):
+            for x in net._nbrs[v]:
+                sender[x] = -1 if x in sender else v
+    deliveries: dict[int, Observation] = dict.fromkeys(net.labels, PHI)
     collided: set[int] = set()
-    for x in net.labels:
-        if not isinstance(actions[x], Listen):
-            deliveries[x] = PHI
-            continue
-        talking = [v for v in net.neighbors(x) if v in transmitters]
-        if len(talking) == 1:
-            v = talking[0]
-            deliveries[x] = Received(v, transmitters[v])
-        else:
-            deliveries[x] = PHI
-            if len(talking) >= 2:
+    for x, v in sender.items():
+        if isinstance(actions[x], Listen):
+            if v < 0:
                 collided.add(x)
+            else:
+                deliveries[x] = Received(v, actions[v].message)
     return RoundRecord(round, dict(actions), deliveries, frozenset(collided))
 
 
@@ -272,8 +267,9 @@ class Execution:
 
         self.net, self.name, self.max_rounds = net, proto.name, max_rounds
         self.collect_violations = collect_violations
-        self.order = sorted(net.labels)
-        self.nodes = {x: spawn(proto, x, tuple(sorted(net.neighbors(x)))) for x in self.order}
+        self.nodes = {x: spawn(proto, x, tuple(sorted(net.neighbors(x))))
+                      for x in sorted(net.labels)}
+        self.pairs = list(self.nodes.items())  # (label, node) in label order
         self.heard: set[int] = set()  # nodes that have received at least one message
         self.informed: dict[int, int] = {SOURCE: 0}
         self.round = 0  # the next round to play
@@ -283,30 +279,27 @@ class Execution:
         if t >= self.max_rounds:
             raise ValueError(f"the run was bound for {self.max_rounds} rounds")
         actions: dict[int, Action] = {}
-        for x in self.order:
-            act = self.nodes[x].act(t)
-            if not isinstance(act, (Transmit, Listen, Inactive)):
+        spoke = []  # transmitters, in label order
+        for x, node in self.pairs:
+            act = actions[x] = node.act(t)
+            if isinstance(act, Transmit):
+                spoke.append(x)
+            elif not isinstance(act, (Listen, Inactive)):
                 raise TypeError(f"{self.name} returned {act!r} for node {x}")
-            actions[x] = act
 
-        for x in self.order:
-            if not isinstance(actions[x], Transmit) or x == SOURCE:
+        for x in spoke:
+            if x == SOURCE or x in self.heard:
                 continue
-            if t == 0:
-                err = NonSourceRoundZero(x, 0)
-            elif x not in self.heard:
-                err = SpontaneityViolation(x, t)
-            else:
-                continue
+            err = NonSourceRoundZero(x, 0) if t == 0 else SpontaneityViolation(x, t)
             if self.collect_violations is None:
                 raise err
             self.collect_violations.append(err)
             actions[x] = LISTEN
 
         rec = step_round(self.net, actions, t)
-        for x in self.order:
+        for x, node in self.pairs:
             obs = rec.deliveries[x]
-            self.nodes[x].observe(obs)
+            node.observe(obs)
             if isinstance(obs, Received):
                 self.heard.add(x)
                 if x not in self.informed and is_payload(obs.message):

@@ -3,8 +3,8 @@
 These exercise paths the registry protocols never touch: leaf
 transmissions, an active source, content-dependent middle-layer behavior,
 sources that branch on sender identity, a component named again and again
-by descriptors, pseudo-random but deterministic schedules, and one
-protocol that breaks legality.
+by descriptors, pseudo-random but deterministic schedules, and two
+protocols that break legality.
 """
 
 from __future__ import annotations
@@ -209,3 +209,23 @@ def spontaneous_leaf_prey(params: C2Params) -> Protocol:
         return LISTEN
 
     return Protocol("spontaneous-leaf", step, params=params)
+
+
+def counting_leaf_prey(params: C2Params) -> Protocol:
+    """An illegal prey for some adjacency subsets only: round-robin middle
+    nodes, and every leaf transmits once, in the round equal to its number
+    of neighbours, whether or not it has heard anything. Whether a leaf
+    breaks the spontaneity rule, and in which round, depends on which
+    middle nodes it is adjacent to."""
+
+    def step(ctx):
+        own = ctx.own_label
+        if own == SOURCE:
+            return Transmit(BroadcastPayload(PAYLOAD)) if ctx.round == 0 else LISTEN
+        if layer_of(own, params) == 2:
+            return Transmit(Opaque(b"early")) if ctx.round == len(ctx.neighbor_labels) else LISTEN
+        if ctx.round == own and has_received_payload(ctx.history):
+            return Transmit(BroadcastPayload(PAYLOAD))
+        return LISTEN
+
+    return Protocol("counting-leaf", step, params=params)

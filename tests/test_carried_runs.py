@@ -7,7 +7,7 @@ shorter script that agrees with it from its record. The reference
 below is the pruning routine that restarted every component run at round 0
 for each t. The round-count tests count the engine rounds played on each
 component network and fail for any routine that replays, or for a Z-sweep
-that stops a variant's run before its last round.
+that stops its run before its last round.
 """
 
 from __future__ import annotations
@@ -175,17 +175,18 @@ def test_pruning_steps_each_component_run_once(monkeypatch, r):
 
 
 @pytest.mark.parametrize("r", [3, 4])
-def test_z_sweep_plays_every_round_of_every_variant(monkeypatch, r):
-    # On hash-0's free component most leaves hear in round 4 or 7, before
-    # the last round 3r-2 that the sweep reads; a sweep that stopped a run
-    # there would skip the acts at which an illegal prey raises.
+def test_z_sweep_plays_every_round_of_its_one_run(monkeypatch, r):
+    # One run on (free, 2^k - 1) serves every Z. Its masks end at round
+    # 3r-2, and on hash-0's free component most leaves hear by round 7; a
+    # sweep that stopped its run once no leaf needs another mask would skip
+    # the acts at which an illegal prey raises.
     params = C2Params(2, 3)
     rounds = recorded_nets(monkeypatch, prune)
     p3 = transform_chain(hash_prey(params, 0), params, 3)
     pr = run_prune(p3, r, params)
     rounds.clear()
     derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, r, params)
-    assert rounds == {(pr.free_component, z): 3 * r for z in range(1, 1 << params.k)}
+    assert rounds == {(pr.free_component, (1 << params.k) - 1): 3 * r}
 
 
 def test_echo_rebuild_steps_each_component_once(monkeypatch):

@@ -39,10 +39,16 @@ from radiolb import (
     transform_chain,
 )
 from radiolb.c2 import component_net, component_of, l1_index, l2_label, layer_of
-from radiolb.errors import LegalityViolation, ProtocolBindingError
+from radiolb.errors import (
+    LegalityViolation,
+    ProtocolBindingError,
+    RadioLBError,
+    SpontaneityViolation,
+)
 from radiolb.prune import COLLISION, SILENT, Collision
 
 from preys import (
+    counting_leaf_prey,
     cyclic_prey,
     hash_prey,
     leaf_ack_prey,
@@ -157,19 +163,23 @@ def scan_derive_family(p4, free, r, params):
     return DerivedFamily(params.k, tuple(sets), first_success)
 
 
-def outcome(fn):
-    """What ``fn`` returns, or the legality violation it raises."""
+def outcome(fn, caught=LegalityViolation):
+    """What ``fn`` returns, or the ``caught`` error it raises."""
     try:
         return fn()
-    except LegalityViolation as exc:
+    except caught as exc:
         return exc
 
 
-@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3)])
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3), (1, 5), (2, 4)])
 def test_z_sweep_matches_per_variant_scan(m, k):
+    # (1,5) and (2,4) check the masks on more than 3 bits. Counting-leaf's
+    # leaf is illegal only for some neighbour counts, so it checks that
+    # each Z's leaf runs with Z's own neighbours.
     params = C2Params(m, k)
     raised = set()
-    for p0 in protocols(params) + [cyclic_prey(params), spontaneous_leaf_prey(params)]:
+    illegal = [cyclic_prey(params), spontaneous_leaf_prey(params), counting_leaf_prey(params)]
+    for p0 in protocols(params) + illegal:
         # separate stage-3 protocols: neither sweep reads the other's echoes
         p3, ref3 = transform_chain(p0, params, 3), transform_chain(p0, params, 3)
         for r in range(1, 6):
@@ -184,7 +194,24 @@ def test_z_sweep_matches_per_variant_scan(m, k):
                 assert (type(got), str(got)) == (type(want), str(want)), (p0.name, r, free)
                 if isinstance(got, LegalityViolation):
                     raised.add(p0.name)
-    assert raised == {"spontaneous-leaf"}
+    assert raised == {"spontaneous-leaf", "counting-leaf"}
+
+
+def test_z_sweep_keeps_the_per_variant_error_order():
+    # Advice one entry short: every middle node raises at round 7, in the
+    # shared run. Counting-leaf's leaf with one neighbour transmits in round
+    # 5. On component 1 nothing is heard before round 10, so Z = 1's leaf
+    # raises first; on component 0 it hears in round 4, and the run's error
+    # comes before Z = 2's leaf, which raises in round 5.
+    params = C2Params(2, 2)
+    short = AdviceString((None,))
+    p3, ref3 = (transform_chain(counting_leaf_prey(params), params, 3) for _ in range(2))
+    for free, error in [(0, ProtocolBindingError), (1, SpontaneityViolation)]:
+        got = outcome(lambda: derive_family(pi4_with_advice(p3, short), free, 3, params),
+                      RadioLBError)
+        want = outcome(lambda: scan_derive_family(pi4_with_advice(ref3, short), free, 3, params),
+                       RadioLBError)
+        assert type(got) is error and (type(got), str(got)) == (type(want), str(want)), free
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3)])
@@ -239,5 +266,5 @@ def test_analysis_runs_only_single_components(monkeypatch):
         assert pr.free_component is not None
         before = len(stepped)
         derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, 4, params)
-        assert len(stepped) - before >= (1 << params.k) - 1  # one run per Z at least
+        assert len(stepped) - before == 1  # one run serves every Z
     assert set(stepped) == {params.k + 2}

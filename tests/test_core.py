@@ -198,6 +198,34 @@ def test_a_step_returning_a_non_action_names_protocol_and_node():
         ex.step()
 
 
+def test_type_check_precedes_legality_and_violations_come_in_label_order():
+    # Round 1: node 1 transmits without having heard anything, and node 2
+    # either returns a non-action or transmits spontaneously as well. Node
+    # 3 listens to both.
+    net = Network(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+    def prey(node2):
+        def step(ctx):
+            if ctx.round != 1 or ctx.own_label not in (1, 2):
+                return LISTEN
+            return Transmit(MU) if ctx.own_label == 1 else node2
+        return Protocol("early", step)
+
+    for collect in (None, []):
+        ex = Execution(net, prey("bad"), 2, collect_violations=collect)
+        ex.step()
+        with pytest.raises(TypeError, match=r"^early returned 'bad' for node 2$"):
+            ex.step()
+        assert collect in (None, [])  # every node acts before any legality check
+    violations = []
+    ex = Execution(net, prey(Transmit(MU)), 2, collect_violations=violations)
+    ex.step()
+    rec = ex.step()
+    assert violations == [SpontaneityViolation(1, 1), SpontaneityViolation(2, 1)]
+    assert rec.actions == {0: LISTEN, 1: LISTEN, 2: LISTEN, 3: LISTEN}
+    assert rec.deliveries[3] == PHI and rec.collided_receivers == frozenset()
+
+
 # ---------------------------------------------------------------------------
 # completion_round
 # ---------------------------------------------------------------------------
