@@ -9,12 +9,9 @@ transmitter label (authenticated channel).
 Traces additionally record which listeners suffered a collision. Nodes can
 never see that; it exists only for the harness and for tests.
 
-``Execution`` is the engine loop, stepped a round at a time; ``run`` steps
-it to the end and keeps every round's record. The one other loop over
-``step_round`` is stage 3's component simulation (``reductions._EchoSim``):
-it may play another network's script, so it checks no legality, and
-turning it into an ``Execution`` changes the spontaneous-leaf prey's
-recorded library outputs.
+``Execution`` is the engine loop, stepped a round at a time, and the one
+caller of ``step_round``; ``run`` steps it to the end and keeps every
+round's record.
 """
 
 from __future__ import annotations

@@ -28,19 +28,22 @@ Every staged node but a stage 2-4 source is one ``_Phased``: its base node
 process, fed one collapsed observation per round triple at its next act. A
 stage 2-4 middle node also has a column, one step per stage above 1, that
 rebuilds what the stage-1 source sent from advice (stage 4), descriptors
-(stage 3) and echoes (stage 2); leaves run their stage-1 selves. The one
-cache is each stage-3 protocol's set of component simulations, at most one
-per (component, tau): each records the echo it rebuilt after every prefix
-of its script, so a prefix it has played is answered from the record and a
-longer one by stepping on. The simulations are shared by all the
-protocol's runs and dropped with it.
+(stage 3) and echoes (stage 2); leaves run their stage-1 selves. A
+component simulation is an engine run (``core.Execution``) whose source
+replays the echo script; an illegal transmission inside it is suppressed,
+never raised. The one cache is each stage-3 protocol's set of them, at
+most one per (component, tau): each records the echo it rebuilt after
+every prefix of its script, so a prefix it has played is answered from
+the record and a longer one by stepping on. The simulations are shared by
+all the protocol's runs and dropped with it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from . import core
@@ -175,19 +178,19 @@ def to_pi1(p0: Protocol, params: C2Params) -> Protocol:
 
 class _Source:
     """Stage 2-4 source: ``first`` in round 0; in each round 3s, s >= 1,
-    ``relay`` of what it received in round 3s-2 (if anything and if
-    ``relay`` is given); silence otherwise."""
+    ``say(s, heard)`` of what it observed in round 3s-2 (None, or no
+    ``say``, is silence); silence otherwise. In a component simulation,
+    ``say`` replays the echo script and illegal acts are suppressed."""
 
-    def __init__(self, first, relay=None):
-        self.first, self.relay = first, relay
+    def __init__(self, first, say=None):
+        self.first, self.say = first, say
         self.heard, self.rounds = PHI, 0
 
     def act(self, round: int):
         if round == 0:
             return Transmit(self.first)
-        if round % 3 == 0 and self.relay is not None and isinstance(self.heard, Received):
-            return Transmit(self.relay(self.heard))
-        return LISTEN
+        msg = self.say(round // 3, self.heard) if round % 3 == 0 and self.say is not None else None
+        return LISTEN if msg is None else Transmit(msg)
 
     def observe(self, obs) -> None:
         if self.rounds % 3 == 1:
@@ -249,7 +252,8 @@ def to_pi2(p1: Protocol) -> Protocol:
     all_l1 = tuple(range(1, params.m * params.k + 1))
     return _staged(
         p1, StageTag.PI2,
-        lambda: _Source(BroadcastPayload(PAYLOAD), lambda heard: heard.message),
+        lambda: _Source(BroadcastPayload(PAYLOAD),
+                        lambda s, heard: heard.message if isinstance(heard, Received) else None),
         lambda: _Echo(spawn(p1, SOURCE, all_l1)),
     )
 
@@ -261,41 +265,37 @@ def to_pi2(p1: Protocol) -> Protocol:
 class _EchoSim:
     """One component run against a scripted source, carried forward.
 
-    The script: payload at round 0, then ``script[s-1]`` (or silence) at
-    round 3s. Middle nodes and the leaf run stage 2 on what they observe of
-    the script and of each other, which matches their real behavior on any
-    network where the script matches the source. ``script`` holds the
-    entries played so far, and ``heard[s]`` the message of the lone
-    middle-layer transmitter in round 3s+1 (None when zero or several
-    transmit) for every s played. It checks no legality, since the script
-    may be another network's (see ``core``).
+    The run is an engine run (``core.Execution``) on the component alone,
+    whose source is a ``_Source`` replaying the echo script: payload at
+    round 0, then ``script[s-1]`` (or silence) at round 3s. Middle nodes and
+    the leaf run stage 2 on what they observe of the script and of each
+    other, which matches their real behavior on any network where the
+    script matches the source. ``script`` holds the entries played so far,
+    and ``heard[s]`` the message of the lone middle-layer transmitter in
+    round 3s+1 (None when zero or several transmit) for every s played.
+    An illegal transmission inside the run is suppressed, never raised:
+    the script may be another network's, and on the network it comes from
+    the real run meets that act first.
     """
 
     def __init__(self, p2: Protocol, params: C2Params, desc: ComponentDesc):
-        self.net = component_net(params, desc.component, desc.tau)
-        self.nodes = {x: spawn(p2, x, tuple(sorted(self.net.neighbors(x))))
-                      for x in sorted(self.net.labels - {SOURCE})}
-        self.script: list = []
+        script = self.script = []
         self.heard: list = []
-        self.round = 0
+        source = _Source(BroadcastPayload(PAYLOAD), lambda s, heard: script[s - 1])
+        proto = replace(p2, node=lambda own, nbrs: source if own == SOURCE else p2.node(own, nbrs))
+        self.run = core.Execution(component_net(params, desc.component, desc.tau), proto,
+                                  math.inf, collect_violations=[])
 
     def advance(self, echoes: list) -> Message | None:
         """``heard[len(echoes)]`` under script ``echoes``, which must agree
         with ``script`` on their common prefix; plays on through round
         3*len(echoes)+1 if that round is still ahead."""
-        for r in range(self.round, 3 * len(echoes) + 2):
-            actions = {x: node.act(r) for x, node in self.nodes.items()}
-            if r % 3 == 0 and r > 0:
-                self.script.append(echoes[r // 3 - 1])
-            msg = BroadcastPayload(PAYLOAD) if r == 0 else self.script[-1] if r % 3 == 0 else None
-            actions[SOURCE] = LISTEN if msg is None else Transmit(msg)
-            rec = core.step_round(self.net, actions, r)
-            for x, node in self.nodes.items():
-                node.observe(rec.deliveries[x])
-            if r % 3 == 1:  # only middle nodes can transmit in sub-round 1
+        self.script.extend(echoes[len(self.script):])
+        while self.run.round <= 3 * len(echoes) + 1:
+            rec = self.run.step()
+            if rec.round % 3 == 1:  # only middle nodes can transmit in sub-round 1
                 tx = [a.message for a in rec.actions.values() if isinstance(a, Transmit)]
                 self.heard.append(tx[0] if len(tx) == 1 else None)
-            self.round = r + 1
         return self.heard[len(echoes)]
 
 
@@ -362,7 +362,9 @@ def to_pi3(p2: Protocol) -> Protocol:
     def setup(net: Network, max_rounds: int) -> Protocol:
         taus = c2_taus(net)
 
-        def describe(heard):
+        def describe(s, heard):
+            if not isinstance(heard, Received):
+                return None
             comp = component_of(heard.sender, params)
             return ComponentDesc(comp, taus[comp])
 

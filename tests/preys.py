@@ -3,7 +3,7 @@
 These exercise paths the registry protocols never touch: leaf
 transmissions, an active source, content-dependent middle-layer behavior,
 sources that branch on sender identity, a component named again and again
-by descriptors, pseudo-random but deterministic schedules, and two
+by descriptors, pseudo-random but deterministic schedules, and three
 protocols that break legality.
 """
 
@@ -229,3 +229,30 @@ def counting_leaf_prey(params: C2Params) -> Protocol:
         return LISTEN
 
     return Protocol("counting-leaf", step, params=params)
+
+
+def echo_leaf_prey(params: C2Params) -> Protocol:
+    """An illegal prey whose middle nodes answer the source: the source
+    parrots its last reception, every leaf transmits in round 0 before it
+    has heard anything, and an informed middle node sends the payload in
+    the round equal to its label and otherwise, from round 1, an opaque
+    note whenever its last observation is a reception from the source.
+    Once the leaf's act is suppressed, a component simulation that played
+    it would rebuild the wrong echoes."""
+
+    def step(ctx):
+        own = ctx.own_label
+        last = ctx.history[-1] if ctx.history else PHI
+        if own == SOURCE:
+            if ctx.round == 0:
+                return Transmit(BroadcastPayload(PAYLOAD))
+            return Transmit(last.message) if isinstance(last, Received) else LISTEN
+        if layer_of(own, params) == 2:
+            return Transmit(Opaque(b"early")) if ctx.round == 0 else LISTEN
+        if ctx.round == own and has_received_payload(ctx.history):
+            return Transmit(BroadcastPayload(PAYLOAD))
+        if ctx.round >= 1 and isinstance(last, Received) and last.sender == SOURCE:
+            return Transmit(Opaque(b"heard-source"))
+        return LISTEN
+
+    return Protocol("echo-leaf", step, params=params)

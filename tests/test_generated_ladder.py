@@ -3,14 +3,19 @@
 Each protocol is a finite-state table: a node's action in round t >= 1 is
 read from a table keyed on (layer, own label mod 2, t mod period, class of
 its last base observation, class of that observation's sender); the label
-class lets nodes of one layer break their symmetry. The tables are legal by
-construction: only the source transmits in round 0, and a non-source node
-transmits only once it has received something. The source's key ignores
-senders, the condition under which an echo loses nothing.
+class lets nodes of one layer break their symmetry. Only the source
+transmits in round 0. A drawn flag decides whether a non-source node may
+transmit before it has received anything; without it the table is legal.
+The source's key ignores senders, the condition under which an echo loses
+nothing.
 
 Networks are c2 networks, some with extra edges between non-source nodes.
-Stage 2 must match stage 1 off the source on all of them; stages 3 and 4,
-which rebuild echoes by simulating one component alone, on the c2 ones.
+Every stage runs with ``collect_violations``, which suppresses illegal
+acts, and must match stage 1 off the source and in the violations it
+collects. Stage 2 must do so on all networks; stages 3 and 4, which
+rebuild echoes by simulating one component alone, on the c2 ones. Stage 4
+takes no table that may transmit before hearing: its advice comes from a
+stage-3 run that raises at the first violation.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ MAX_PERIOD = 3
 HORIZON = 30
 
 
-def table_prey(params: C2Params, period: int, actions: list[int]) -> Protocol:
+def table_prey(params: C2Params, period: int, actions: list[int], spontaneous: bool) -> Protocol:
     keys = product(range(3), range(LABEL_CLASSES), range(period), range(len(MESSAGES)),
                    range(SENDER_CLASSES))
     table = dict(zip(keys, actions))
@@ -56,7 +61,7 @@ def table_prey(params: C2Params, period: int, actions: list[int]) -> Protocol:
         if t == 0:
             return Transmit(BroadcastPayload(PAYLOAD)) if own == SOURCE else LISTEN
         layer = layer_of(own, params)
-        if layer and not any(isinstance(o, Received) for o in ctx.history):
+        if layer and not spontaneous and not any(isinstance(o, Received) for o in ctx.history):
             return LISTEN
         last = ctx.history[-1]
         heard = MESSAGES.index(last.message) if isinstance(last, Received) else 0
@@ -77,21 +82,25 @@ def cases(draw):
     period = draw(st.integers(1, MAX_PERIOD))
     size = 3 * LABEL_CLASSES * period * len(MESSAGES) * SENDER_CLASSES
     actions = draw(st.lists(st.integers(0, len(MESSAGES) - 1), min_size=size, max_size=size))
-    return params, taus, extra, period, actions
+    return params, taus, extra, period, actions, draw(st.booleans())
 
 
 @given(cases())
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 def test_generated_sender_blind_protocols_climb_the_ladder(case):
-    params, taus, extra, period, actions = case
+    params, taus, extra, period, actions, spontaneous = case
     c2_edges = build_c2(params, TopologyVector(taus)).edges()
     net = Network(range(params.n), sorted(c2_edges) + extra, c2_params=params, c2_taus=taus)
-    p0 = table_prey(params, period, actions)
-    stages = (1, 2) if extra else (1, 2, 3, 4)
-    columns = {}
+    p0 = table_prey(params, period, actions, spontaneous)
+    stages = (1, 2) if extra else (1, 2, 3) if spontaneous else (1, 2, 3, 4)
+    columns, violations = {}, {}
     for stage in stages:
-        trace = run(net, transform_chain(p0, params, stage), HORIZON)
+        violations[stage] = []
+        trace = run(net, transform_chain(p0, params, stage), HORIZON,
+                    collect_violations=violations[stage])
         columns[stage] = [{x: a for x, a in rec.actions.items() if x != SOURCE}
                           for rec in trace.rounds]
+    assert spontaneous or violations[1] == []
     for stage in stages[1:]:
+        assert violations[stage] == violations[1], stage
         assert columns[stage] == columns[1], stage

@@ -54,10 +54,10 @@ from radiolb import (
     trace_to_jsonl,
 )
 from radiolb.c2 import layer_of
-from radiolb.errors import ProtocolBindingError, StageMismatch
+from radiolb.errors import ProtocolBindingError, SpontaneityViolation, StageMismatch
 from radiolb.reductions import transform_chain
 
-from preys import hash_prey, leaf_ack_prey, relay_prey
+from preys import echo_leaf_prey, hash_prey, leaf_ack_prey, relay_prey
 
 
 def preys(params: C2Params):
@@ -256,6 +256,30 @@ def test_source_silent_when_no_middle_transmission(params22):
     trace = run(build_c2(params22, TopologyVector((2, 2))), p3, 12)
     for rec in trace.rounds[1:]:
         assert not isinstance(rec.actions[SOURCE], Transmit)
+
+
+def test_component_simulation_suppresses_what_the_real_run_suppresses(params12):
+    # The leaf's round-2 act is illegal: collect mode suppresses it. Stage
+    # 3's simulation of component 0 must suppress it too, or its middle
+    # nodes hear two messages in triple 0, collapse it to phi, stay
+    # uninformed, and rebuild silence where the real middle nodes heard the
+    # source (round 13 was the first to differ).
+    net = build_c2(params12, TopologyVector((3,)))
+    p0 = echo_leaf_prey(params12)
+    columns = {}
+    for stage in (1, 2, 3):
+        violations = []
+        trace = run(net, transform_chain(p0, params12, stage), 24,
+                    collect_violations=violations)
+        assert [str(v) for v in violations] == ["node 3 transmitted spontaneously in round 2"]
+        columns[stage] = [{x: a for x, a in rec.actions.items() if x != SOURCE}
+                          for rec in trace.rounds]
+    assert columns[2] == columns[1]
+    assert columns[3] == columns[1]
+    for stage in (1, 2, 3, 4):
+        with pytest.raises(SpontaneityViolation,
+                           match=r"^node 3 transmitted spontaneously in round 2$"):
+            run(net, transform_chain(p0, params12, stage), 24)
 
 
 # ---------------------------------------------------------------------------

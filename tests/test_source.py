@@ -1,6 +1,6 @@
 """Static checks over the package source: every module but the package's
 ``__init__`` (which imports in order to re-export) uses each name it
-imports."""
+imports, and the engine loop is the one caller of ``step_round``."""
 
 from __future__ import annotations
 
@@ -26,6 +26,29 @@ def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == [], path.name
+
+
+def calls_of(name: str, node: ast.AST, scope: str):
+    """``module.Class.function`` scopes of every call of ``name``, by bare
+    name or as an attribute, under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}"
+        if isinstance(child, ast.Call):
+            func = child.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                yield inner
+        yield from calls_of(name, child, inner)
+
+
+def test_only_the_engine_loop_plays_rounds():
+    # a second loop over step_round would be a second engine, one that
+    # could skip the legality rule
+    callers = [scope for path in sorted(SRC.glob("*.py"))
+               for scope in calls_of("step_round", ast.parse(path.read_text(encoding="utf-8")),
+                                     path.stem)]
+    assert callers == ["core.Execution.step"]
 
 
 def test_modules_are_found():
