@@ -383,11 +383,13 @@ def make_advice(p3: Protocol, net: Network, r: int) -> AdviceString:
     transmissions at rounds 3t, t = 1..r-1, on the given network: the
     whole-network definition that pruning's advice is tested against.
     Pruning's one-vector run plays two rounds fewer, and advice derived
-    from it changes the spontaneous-leaf prey's recorded outputs."""
+    from it changes the spontaneous-leaf prey's recorded outputs. An illegal
+    act is suppressed here, not raised: a stage-4 run plays the same column
+    at least as far, and raises or collects it there."""
     require_stage(p3, StageTag.PI3, "make_advice")
     if r <= 1:
         return AdviceString(())
-    trace = core.run(net, p3, 3 * (r - 1) + 1)
+    trace = core.run(net, p3, 3 * (r - 1) + 1, collect_violations=[])
     acts = [trace.rounds[3 * t].actions[SOURCE] for t in range(1, r)]
     entries = tuple(a.message if isinstance(a, Transmit) else None for a in acts)
     if any(e is not None and not isinstance(e, ComponentDesc) for e in entries):

@@ -8,6 +8,9 @@ Subsets of [n] and the relation "f selects Z" are int bitmasks: greedy and
 the exact search share one table (`_selections`) mapping each f to the mask
 of the targets it selects. Scans that need a canonical order (witnesses,
 searches) visit subsets in ascending bitmask order, deterministic and total.
+`is_selective`'s scan over Z and the table's over f are one enumeration
+(`_grow`): each subset grows from the one without its top bit, carrying the
+mask of what it hits exactly once, in O(1) big-int operations per subset.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .errors import UniverseTooLarge
 # Exhaustive subset scans are exponential; fail fast beyond these.
 SELECTIVITY_UNIVERSE_CAP = 16
 MIN_SEARCH_UNIVERSE_CAP = 5
-# Greedy's selection table tests every (f, Z) pair; (12,12), at 4095 * 4095
-# pairs, is the largest n = k it admits.
+# Greedy's selection table holds one bit per (f, Z) pair, so this caps its
+# size at 2^24 bits; (12,12), at 4095 * 4095 pairs, is the largest n = k.
 GREEDY_PAIR_CAP = 1 << 24
 
 ROUND_BOUND_DIVISOR = 1536
@@ -58,19 +61,33 @@ def _check_universe(n: int, k: int, cap: int) -> None:
     _check_k(n, k)
 
 
-def _targets(n: int, k: int) -> list[int]:
-    return [z for z in range(1, 1 << n) if z.bit_count() <= k]
+def _columns(sets, n: int) -> list[int]:
+    """For each element j < n, the mask of the indices i with j in sets[i]."""
+    return [sum(1 << i for i, s in enumerate(sets) if s >> j & 1) for j in range(n)]
+
+
+def _grow(cols: list[int], k: int, items: int):
+    """Every S of 1 to k column indices, in ascending bitmask order, with the
+    mask of the items (``items`` holds them all) in exactly one column of S.
+    Each S is grown from S without its top bit t, visited before every set
+    with top bit t, by three big-int operations on its masks of the items
+    in exactly one and in no column."""
+    below = [(0, 0, items)]  # the empty set and every S with |S| < k
+    for t, col in enumerate(cols):
+        out = items ^ col
+        for s, one, none in below[:]:
+            s, one, none = s | 1 << t, one & out | none & col, none & out
+            yield s, one
+            if s.bit_count() < k:
+                below.append((s, one, none))
 
 
 def _selections(n: int, k: int) -> tuple[int, dict[int, int]]:
     """The mask of all targets, and for every nonempty f (ascending) the
     mask of the targets f selects; bit i is the i-th target."""
-    targets = _targets(n, k)
-    sel = {
-        f: sum(1 << i for i, z in enumerate(targets) if (z & f).bit_count() == 1)
-        for f in range(1, 1 << n)
-    }
-    return (1 << len(targets)) - 1, sel
+    targets = [z for z, _ in _grow([0] * n, k, 0)]  # no items: just the targets
+    full = (1 << len(targets)) - 1
+    return full, dict(_grow(_columns(targets, n), n, full))
 
 
 def is_selective(fam: SetFamily, n: int, k: int) -> tuple[bool, int | None]:
@@ -79,8 +96,8 @@ def is_selective(fam: SetFamily, n: int, k: int) -> tuple[bool, int | None]:
     The witness is the smallest failing subset in ascending bitmask order.
     """
     _check_universe(n, k, SELECTIVITY_UNIVERSE_CAP)
-    for z in _targets(n, k):
-        if not any((z & f).bit_count() == 1 for f in fam.sets):
+    for z, once in _grow(_columns(fam.sets, n), k, (1 << len(fam.sets)) - 1):
+        if not once:
             return False, z
     return True, None
 

@@ -12,6 +12,8 @@ sweep's transmitter masks.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from radiolb import (
@@ -20,6 +22,7 @@ from radiolb import (
     ComponentDesc,
     DerivedFamily,
     Network,
+    Opaque,
     PruneResult,
     Received,
     SetFamily,
@@ -36,6 +39,7 @@ from radiolb import (
     run_prune,
     selfam_driven,
     silent_l1,
+    spawn,
     transform_chain,
 )
 from radiolb.c2 import component_net, component_of, l1_index, l2_label, layer_of
@@ -212,6 +216,36 @@ def test_z_sweep_keeps_the_per_variant_error_order():
         want = outcome(lambda: scan_derive_family(pi4_with_advice(ref3, short), free, 3, params),
                        RadioLBError)
         assert type(got) is error and (type(got), str(got)) == (type(want), str(want)), free
+
+
+class EarlyLeaf:
+    """A node that sends in ``round``, heard or not, and otherwise acts as
+    ``inner``."""
+
+    def __init__(self, inner, round):
+        self.inner, self.round = inner, round
+
+    def act(self, round):
+        return Transmit(Opaque(b"early")) if round == self.round else self.inner.act(round)
+
+    def observe(self, obs):
+        self.inner.observe(obs)
+
+
+def test_z_sweep_plays_a_leaf_round_before_the_next_shared_round():
+    # Advice one entry short: the middle nodes raise in round 7, in the
+    # shared run. Each leaf is silent_l1's but sends in round 6 before it
+    # has heard, so Z = 1's leaf raises there, before the run plays round 7.
+    params = C2Params(2, 2)
+    p4 = pi4_with_advice(transform_chain(silent_l1(params), params, 3), AdviceString((None,)))
+    for free in range(2):
+        leaf = l2_label(params, free)
+        early = dataclasses.replace(p4, node=lambda own, nbrs: (
+            EarlyLeaf(spawn(p4, own, nbrs), 6) if own == leaf else spawn(p4, own, nbrs)))
+        got = outcome(lambda: derive_family(early, free, 3, params), RadioLBError)
+        want = outcome(lambda: scan_derive_family(early, free, 3, params), RadioLBError)
+        assert (type(got), str(got)) == (type(want), str(want)) == (
+            SpontaneityViolation, f"node {leaf} transmitted spontaneously in round 6"), free
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (2, 3)])

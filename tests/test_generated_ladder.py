@@ -13,9 +13,7 @@ Networks are c2 networks, some with extra edges between non-source nodes.
 Every stage runs with ``collect_violations``, which suppresses illegal
 acts, and must match stage 1 off the source and in the violations it
 collects. Stage 2 must do so on all networks; stages 3 and 4, which
-rebuild echoes by simulating one component alone, on the c2 ones. Stage 4
-takes no table that may transmit before hearing: its advice comes from a
-stage-3 run that raises at the first violation.
+rebuild echoes by simulating one component alone, on the c2 ones.
 """
 
 from __future__ import annotations
@@ -92,7 +90,7 @@ def test_generated_sender_blind_protocols_climb_the_ladder(case):
     c2_edges = build_c2(params, TopologyVector(taus)).edges()
     net = Network(range(params.n), sorted(c2_edges) + extra, c2_params=params, c2_taus=taus)
     p0 = table_prey(params, period, actions, spontaneous)
-    stages = (1, 2) if extra else (1, 2, 3) if spontaneous else (1, 2, 3, 4)
+    stages = (1, 2) if extra else (1, 2, 3, 4)
     columns, violations = {}, {}
     for stage in stages:
         violations[stage] = []

@@ -57,7 +57,7 @@ from radiolb.c2 import layer_of
 from radiolb.errors import ProtocolBindingError, SpontaneityViolation, StageMismatch
 from radiolb.reductions import transform_chain
 
-from preys import echo_leaf_prey, hash_prey, leaf_ack_prey, relay_prey
+from preys import echo_leaf_prey, hash_prey, leaf_ack_prey, relay_prey, spontaneous_leaf_prey
 
 
 def preys(params: C2Params):
@@ -267,7 +267,7 @@ def test_component_simulation_suppresses_what_the_real_run_suppresses(params12):
     net = build_c2(params12, TopologyVector((3,)))
     p0 = echo_leaf_prey(params12)
     columns = {}
-    for stage in (1, 2, 3):
+    for stage in (1, 2, 3, 4):
         violations = []
         trace = run(net, transform_chain(p0, params12, stage), 24,
                     collect_violations=violations)
@@ -276,10 +276,22 @@ def test_component_simulation_suppresses_what_the_real_run_suppresses(params12):
                           for rec in trace.rounds]
     assert columns[2] == columns[1]
     assert columns[3] == columns[1]
+    assert columns[4] == columns[1]
     for stage in (1, 2, 3, 4):
         with pytest.raises(SpontaneityViolation,
                            match=r"^node 3 transmitted spontaneously in round 2$"):
             run(net, transform_chain(p0, params12, stage), 24)
+
+
+def test_stage_4_collects_what_the_advice_run_would_raise(params12):
+    # stage 4's advice comes from a whole-network stage-3 run, which meets
+    # the leaf's violation too; it must suppress it there, as the stage-4
+    # run itself does, rather than raise out of check_legality
+    net = build_c2(params12, TopologyVector((2,)))
+    p0 = spontaneous_leaf_prey(params12)
+    for stage in (1, 2, 3, 4):
+        assert [str(v) for v in check_legality(transform_chain(p0, params12, stage), net, 12)] \
+            == ["node 3 transmitted spontaneously in round 5"], stage
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 import tracemalloc
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -94,6 +96,97 @@ def test_greedy_matches_set_based_reference():
     for n in range(1, 10):
         for k in range(1, n + 1):
             assert greedy_selective(n, k).sets == set_greedy(n, k), (n, k)
+
+
+# ---------------------------------------------------------------------------
+# Pair-test oracles: the scans `is_selective` and the selection table did
+# before they grew each subset from the one without its top bit
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=4)  # callers visit (n, k) in order; n = 16 lists are large
+def pair_targets(n, k):
+    return [z for z in range(1, 1 << n) if z.bit_count() <= k]
+
+
+def pair_is_selective(sets, n, k):
+    for z in pair_targets(n, k):
+        if not any((z & f).bit_count() == 1 for f in sets):
+            return False, z
+    return True, None
+
+
+def pair_selections(n, k):
+    targets = pair_targets(n, k)
+    sel = {
+        f: sum(1 << i for i, z in enumerate(targets) if (z & f).bit_count() == 1)
+        for f in range(1, 1 << n)
+    }
+    return (1 << len(targets)) - 1, sel
+
+
+def pair_greedy(n, k):
+    uncovered, sel = pair_selections(n, k)
+    chosen = []
+    while uncovered:
+        best = max(sel, key=lambda f: ((sel[f] & uncovered).bit_count(), -f))
+        chosen.append(best)
+        uncovered &= ~sel[best]
+    return tuple(chosen)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_is_selective_matches_the_pair_scan_on_every_small_family(n):
+    subsets = range(1 << n)  # the empty set may be a member too
+    for bits in range(1 << len(subsets)):
+        sets = tuple(f for f in subsets if bits >> f & 1)
+        for k in range(1, n + 1):
+            assert is_selective(SetFamily(n, sets), n, k) == pair_is_selective(sets, n, k)
+
+
+def planted_family(rng, n, k):
+    """Hits every target but z: every subset of z with two or more elements,
+    and every singleton outside it. Z' inside z, |Z'| < k, is hit once by
+    one element of Z' together with z's elements outside Z'."""
+    z = indices_to_mask(rng.sample(range(n), k))
+    sets = [f for f in range(1 << n) if f & z == f and f.bit_count() >= 2]
+    sets += [1 << j for j in range(n) if not z >> j & 1]
+    rng.shuffle(sets)
+    return z, tuple(sets)
+
+
+def test_is_selective_matches_the_pair_scan_on_seeded_families():
+    rng = random.Random(16)
+    cases = [(n, k, ()) for n in (1, 5, 16) for k in {1, n}]
+    cases.append((16, 16, tuple(rng.sample([1 << j for j in range(16)], 16))))
+    for _ in range(2000):
+        n = rng.randint(1, 16)
+        k = rng.randint(1, n)
+        sets = [rng.randrange(1 << n) for _ in range(rng.randint(0, 2 * n))]
+        if n <= 10 and rng.random() < 0.3:  # singletons but a few: fails late, or never
+            sets += rng.sample([1 << j for j in range(n)], max(0, n - rng.randint(0, 2)))
+            rng.shuffle(sets)
+        cases.append((n, k, tuple(sets)))
+    for n in range(2, 17):
+        for k in range(2, min(n, 6) + 1):
+            z, sets = planted_family(rng, n, k)
+            assert pair_is_selective(sets, n, k) == (False, z)
+            assert pair_is_selective(sets, n, k - 1) == (True, None)
+            cases.append((n, k, sets))
+    for n, k, sets in sorted(cases, key=lambda case: case[:2]):
+        assert is_selective(SetFamily(n, sets), n, k) == pair_is_selective(sets, n, k), (n, k)
+
+
+def test_selection_table_matches_the_pair_tests():
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            assert selfam._selections(n, k) == pair_selections(n, k), (n, k)
+
+
+# the selfam-search benchmark's greedy points, and the largest n = k the cap admits
+@pytest.mark.parametrize("n,k", [(9, 3), (9, 4), (10, 2), (10, 3), (10, 4), (11, 2), (12, 2),
+                                 (12, 12)])
+def test_greedy_matches_the_pair_table_greedy(n, k):
+    assert greedy_selective(n, k).sets == pair_greedy(n, k)
 
 
 def test_greedy_memory_stays_small():

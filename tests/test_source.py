@@ -1,6 +1,7 @@
 """Static checks over the package source: every module but the package's
 ``__init__`` (which imports in order to re-export) uses each name it
-imports, and the engine loop is the one caller of ``step_round``."""
+imports, the engine loop is the one caller of ``step_round``, and importing
+the package runs no loop."""
 
 from __future__ import annotations
 
@@ -49,6 +50,29 @@ def test_only_the_engine_loop_plays_rounds():
                for scope in calls_of("step_round", ast.parse(path.read_text(encoding="utf-8")),
                                      path.stem)]
     assert callers == ["core.Execution.step"]
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def import_time_loops(node: ast.AST):
+    """Loops under ``node`` that run when its module is imported: a function
+    or lambda body runs later, but its decorators and defaults run now."""
+    children = ast.iter_child_nodes(node)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        children = [*getattr(node, "decorator_list", ()), *node.args.defaults,
+                    *filter(None, node.args.kw_defaults)]
+    for child in children:
+        if isinstance(child, LOOPS):
+            yield f"line {child.lineno}: {type(child).__name__}"
+        yield from import_time_loops(child)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_importing_computes_no_table(path):
+    # work at import time lands in every process's set-up, CLI calls included
+    assert list(import_time_loops(ast.parse(path.read_text(encoding="utf-8")))) == []
 
 
 def test_modules_are_found():
