@@ -6,7 +6,9 @@ advice string, picks a free component, and checks every nonempty adjacency
 subset Z of that component: if some Z-variant network never delivers
 anything to the component's leaf within 3r rounds of the advised stage-4
 run, then the original protocol provably misses its budget on that network.
-The emitted witness is always re-verified by a direct untransformed run.
+One run of the free component, read by ``reductions.middle_tx``, serves
+every Z. The emitted witness is always re-verified by a direct untransformed
+run.
 
 When pruning marks every component (budget too large for the family size),
 the pipeline falls back to direct exhaustive simulation over the family, so
@@ -18,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import core
-from .c2 import C2Params, TopologyVector, build_c2, enumerate_c2, l1_label, l2_label
+from .c2 import C2Params, TopologyVector, build_c2, component_net, enumerate_c2, l1_label, l2_label
 from .errors import (FreeComponentMissing, NonSourceRoundZero, SpontaneityViolation,
                      UniverseTooLarge, WitnessInconsistency)
-from .prune import component_tx, run_prune
+from .prune import run_prune
 from .protocols import Protocol, StageTag, silent_l1, spawn
-from .reductions import pi4_with_advice, require_stage, transform_chain
+from .reductions import middle_tx, pi4_with_advice, require_stage, transform_chain
 from .selfam import SELECTIVITY_UNIVERSE_CAP, mask_to_indices
 
 
@@ -64,7 +66,7 @@ def _check_sweep_cap(params: C2Params) -> None:
 
 def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> DerivedFamily:
     """Read one advised stage-4 run of ``p4`` on the free component alone
-    (``prune.component_tx``, all 3r rounds) under tau = 2^k - 1, its leaf
+    (``reductions.middle_tx``, all 3r rounds) under tau = 2^k - 1, its leaf
     held silent. Middle nodes are not adjacent to each other and the source
     is silent after round 0, so until Z's leaf first hears, a middle node
     in Z acts as in the base network's Z-variant. Stage-4 middle nodes
@@ -89,7 +91,8 @@ def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> DerivedF
     _check_sweep_cap(params)
     leaf, silent = l2_label(params, free), silent_l1(params)
     held = replace(p4, node=lambda own, nbrs: spawn(silent if own == leaf else p4, own, nbrs))
-    run, masks = component_tx(held, params, free, (1 << params.k) - 1, 3 * r), []
+    net = component_net(params, free, (1 << params.k) - 1)
+    run, masks = (sum(1 << j for j in tx) for tx in middle_tx(net, held, 3 * r)), []
     sets, first_success = [0] * r, dict.fromkeys(range(1, 1 << params.k))
     for z in first_success:
         node = spawn(p4, leaf, tuple(l1_label(params, free, j) for j in mask_to_indices(z)))

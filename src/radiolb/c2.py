@@ -110,7 +110,8 @@ def build_c2(params: C2Params, tv: TopologyVector) -> Network:
 
 def component_net(params: C2Params, i: int, tau: int) -> Network:
     """The source plus component i alone, under the family's labels: the
-    network on which pruning and the Z-sweep simulate one component."""
+    network on which pruning, the Z-sweep and stage 3's echo simulations
+    run one component (read by ``reductions.middle_tx``)."""
     _check_tau(tau, params.k)
     edges = _component_edges(params, i, tau)
     return Network({x for edge in edges for x in edge}, edges, c2_params=params)

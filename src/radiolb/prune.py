@@ -9,14 +9,13 @@ Pruning scans events t = 1..r-1 over the whole enumerated family and keeps
 a subset of networks that all share one event sequence, hence one advice
 string. Survivors share the events before t, hence the advice entries so
 far; under a fixed advice the stage-4 source is silent after round 0 and no
-edge joins two components, so each component runs on its own.
-``component_tx`` is the one reader of such a run (``c2.component_net``):
-it yields, per round 3j+1, the mask of the component's transmitters.
-Pruning advances one reader per (component, tau) among the survivors once
-per t and then appends the decided advice entry, so a run plays 3r-4
-rounds in all; a survivor's event is the popcount of its components'
-masks. A pair drops out once no survivor uses it. One network is a
-one-vector family.
+edge joins two components, so each component runs on its own
+(``c2.component_net``), read by ``reductions.middle_tx``, which yields the
+component's transmitters of each round 3j+1. Pruning advances one reader
+per (component, tau) among the survivors once per t and then appends the
+decided advice entry, so a run plays 3r-4 rounds in all; a survivor's
+event is the count of its components' transmitters. A pair drops out once
+no survivor uses it. One network is a one-vector family.
 Marking then pins the components that the decisive rounds depended on;
 every network agreeing with the chosen base on the marked components is
 guaranteed to be a survivor, so any unmarked component is free to vary.
@@ -27,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import core
-from .c2 import C2Params, TopologyVector, build_c2, component_net, enumerate_c2, l1_label
-from .core import ComponentDesc, Network, Transmit
+from .c2 import C2Params, TopologyVector, build_c2, component_net, enumerate_c2
+from .core import ComponentDesc, Network
 from .protocols import Protocol, StageTag
-from .reductions import AdviceString, c2_taus, pi4_with_advice, require_stage
+from .reductions import AdviceString, c2_taus, middle_tx, pi4_with_advice, require_stage
 
 
 @dataclass(frozen=True)
@@ -65,24 +64,14 @@ class PruneResult:
     free_component: int | None
 
 
-def component_tx(p4: Protocol, params: C2Params, i: int, tau: int, rounds: int):
-    """Yield the mask (by middle index) of component i's transmitters in each
-    round 3j+1 of its advised run alone under tau; rounds play as asked for."""
-    ex = core.Execution(component_net(params, i, tau), p4, rounds)
-    mids = [l1_label(params, i, j) for j in range(params.k)]
-    while ex.round < rounds:
-        rec = ex.step()
-        if rec.round % 3 == 1:
-            yield sum(1 << j for j, x in enumerate(mids) if isinstance(rec.actions[x], Transmit))
+def _first_two(tx: dict, tv: TopologyVector) -> list[int]:
+    """Components of ``tv``'s first two transmitters in one round, given
+    each (component, tau)'s transmitters then."""
+    return [i for i, tau in enumerate(tv.taus) for _ in tx[i, tau]][:2]
 
 
-def _first_two(masks: dict, tv: TopologyVector) -> list[int]:
-    """Components of ``tv``'s first two transmitters under one round's masks."""
-    return [i for i, tau in enumerate(tv.taus) for _ in range(masks[i, tau].bit_count())][:2]
-
-
-def _event(masks: dict, tv: TopologyVector) -> Event:
-    hot = _first_two(masks, tv)
+def _event(tx: dict, tv: TopologyVector) -> Event:
+    hot = _first_two(tx, tv)
     return COLLISION if len(hot) == 2 else Single(hot[0], tv.taus[hot[0]]) if hot else SILENT
 
 
@@ -95,18 +84,18 @@ def _prune(p3: Protocol, vectors, r: int, params: C2Params):
     p4 = pi4_with_advice(p3, AdviceString(entries))
     runs = {}  # (component, tau) -> its reader, carried forward
     for t in range(1, r):
-        runs = {key: runs.get(key) or component_tx(p4, params, *key, 3 * r - 4) for key in sorted(
-            {(i, tau) for tv in survivors for i, tau in enumerate(tv.taus)})}
-        masks = {key: next(run) for key, run in runs.items()}  # round 3t-2
-        tables.append(masks)
-        seen = {tv: _event(masks, tv) for tv in survivors}
+        runs = {key: runs.get(key) or middle_tx(component_net(params, *key), p4, 3 * r - 4)
+                for key in sorted({(i, tau) for tv in survivors for i, tau in enumerate(tv.taus)})}
+        tx = {key: next(run) for key, run in runs.items()}  # round 3t-2
+        tables.append(tx)
+        seen = {tv: _event(tx, tv) for tv in survivors}
         singles = [tv for tv in survivors if isinstance(seen[tv], Single)]
         e = COLLISION if COLLISION in seen.values() else seen[min(singles)] if singles else SILENT
         survivors = [tv for tv in survivors if seen[tv] == e]
         events.append(e)
         entries.append(ComponentDesc(e.component, e.tau) if isinstance(e, Single) else None)
     base = min(survivors)
-    marked = frozenset(i for masks in tables for i in _first_two(masks, base))
+    marked = frozenset(i for tx in tables for i in _first_two(tx, base))
     return survivors, tuple(events), AdviceString(tuple(entries)), marked
 
 

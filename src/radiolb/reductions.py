@@ -28,20 +28,23 @@ Every staged node but a stage 2-4 source is one ``_Phased``: its base node
 process, fed one collapsed observation per round triple at its next act. A
 stage 2-4 middle node also has a column, one step per stage above 1, that
 rebuilds what the stage-1 source sent from advice (stage 4), descriptors
-(stage 3) and echoes (stage 2); leaves run their stage-1 selves. A
-component simulation is an engine run (``core.Execution``) whose source
-replays the echo script; an illegal transmission inside it is suppressed,
-never raised. The one cache is each stage-3 protocol's set of them, at
-most one per (component, tau): each records the echo it rebuilt after
-every prefix of its script, so a prefix it has played is answered from
-the record and a longer one by stepping on. The simulations are shared by
-all the protocol's runs and dropped with it.
+(stage 3) and echoes (stage 2); leaves run their stage-1 selves.
+
+``middle_tx`` is the one reader of a run on the source plus one component
+(``c2.component_net``): it yields the middle nodes' transmissions of each
+round 3j+1. Pruning and the Z-sweep read advised stage-4 runs with it, and
+stage 3 its component simulations, whose source replays the echo script
+and in which an illegal transmission is suppressed, never raised. The one
+cache is each stage-3 protocol's set of simulations, at most one per
+(component, tau): each records the echo it rebuilt after every prefix of
+its script, so a prefix it has played is answered from the record and a
+longer one by stepping on. The simulations are shared by all the
+protocol's runs and dropped with it.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
@@ -80,27 +83,11 @@ class AdviceString:
 
     entries: Sequence[ComponentDesc | None]
 
-    def entry(self, t: int) -> ComponentDesc | None:
-        return self.entries[t - 1]
-
     def encode(self) -> str:
         body = ",".join(
             "phi" if e is None else f"{e.component}:{e.tau}" for e in self.entries
         )
         return "adv:" + body
-
-    @staticmethod
-    def decode(text: str) -> "AdviceString":
-        if not text.startswith("adv:"):
-            raise ValueError(f"not an advice encoding: {text!r}")
-        entries: list[ComponentDesc | None] = []
-        for part in text[4:].split(",") if text[4:] else ():
-            # exactly what encode writes: phi or <i>:<tau> with i >= 0 and tau >= 1
-            match = re.fullmatch(r"(0|[1-9][0-9]*):([1-9][0-9]*)", part)
-            if not match and part != "phi":
-                raise ValueError(f"not an advice encoding: {text!r}")
-            entries.append(ComponentDesc(int(match[1]), int(match[2])) if match else None)
-        return AdviceString(tuple(entries))
 
 
 def require_stage(proto: Protocol, stage: StageTag, op: str, params=None) -> None:
@@ -170,6 +157,20 @@ def to_pi1(p0: Protocol, params: C2Params) -> Protocol:
         return _Phased(spawn(p0, own, neighbors), layer_of(own, params))
 
     return Protocol(f"pi1[{p0.name}]", None, stage=StageTag.PI1, params=params, node=node)
+
+
+def middle_tx(net: Network, proto: Protocol, rounds=math.inf, **run):
+    """Step ``core.Execution(net, proto, rounds, **run)`` on the source plus
+    one component and yield, after each round 3j+1, the messages of the
+    transmitting middle nodes by index among the source's neighbours in
+    label order. Rounds play only as they are asked for."""
+    ex = core.Execution(net, proto, rounds, **run)
+    mids = sorted(net.neighbors(SOURCE))
+    while ex.round < rounds:
+        rec = ex.step()
+        if rec.round % 3 == 1:  # middle nodes act in sub-round 1
+            yield {j: act.message for j, x in enumerate(mids)
+                   if isinstance(act := rec.actions[x], Transmit)}
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +266,12 @@ def to_pi2(p1: Protocol) -> Protocol:
 class _EchoSim:
     """One component run against a scripted source, carried forward.
 
-    The run is an engine run (``core.Execution``) on the component alone,
-    whose source is a ``_Source`` replaying the echo script: payload at
-    round 0, then ``script[s-1]`` (or silence) at round 3s. Middle nodes and
-    the leaf run stage 2 on what they observe of the script and of each
-    other, which matches their real behavior on any network where the
-    script matches the source. ``script`` holds the entries played so far,
+    The run (read by ``middle_tx``) is on the component alone, whose source
+    is a ``_Source`` replaying the echo script: payload at round 0, then
+    ``script[s-1]`` (or silence) at round 3s. Middle nodes and the leaf run
+    stage 2 on what they observe of the script and of each other, which
+    matches their real behavior on any network where the script matches
+    the source. ``script`` holds the entries played so far,
     and ``heard[s]`` the message of the lone middle-layer transmitter in
     round 3s+1 (None when zero or several transmit) for every s played.
     An illegal transmission inside the run is suppressed, never raised:
@@ -283,52 +284,37 @@ class _EchoSim:
         self.heard: list = []
         source = _Source(BroadcastPayload(PAYLOAD), lambda s, heard: script[s - 1])
         proto = replace(p2, node=lambda own, nbrs: source if own == SOURCE else p2.node(own, nbrs))
-        self.run = core.Execution(component_net(params, desc.component, desc.tau), proto,
-                                  math.inf, collect_violations=[])
+        self.tx = middle_tx(component_net(params, desc.component, desc.tau), proto,
+                            collect_violations=[])
 
     def advance(self, echoes: list) -> Message | None:
         """``heard[len(echoes)]`` under script ``echoes``, which must agree
         with ``script`` on their common prefix; plays on through round
         3*len(echoes)+1 if that round is still ahead."""
         self.script.extend(echoes[len(self.script):])
-        while self.run.round <= 3 * len(echoes) + 1:
-            rec = self.run.step()
-            if rec.round % 3 == 1:  # only middle nodes can transmit in sub-round 1
-                tx = [a.message for a in rec.actions.values() if isinstance(a, Transmit)]
-                self.heard.append(tx[0] if len(tx) == 1 else None)
+        while len(self.heard) <= len(echoes):
+            tx = [*next(self.tx).values()]
+            self.heard.append(tx[0] if len(tx) == 1 else None)
         return self.heard[len(echoes)]
-
-
-def _component_echo(p2: Protocol, params: C2Params, sims: dict, desc: ComponentDesc,
-                    echoes: list) -> Message | None:
-    """The message of component ``desc``'s lone middle-layer transmitter in
-    the round right after script ``echoes`` ends (see ``_EchoSim``), or None
-    when zero or several transmit.
-
-    ``sims`` holds at most one simulation per (component, tau). When its
-    script and ``echoes`` agree on their common prefix it answers from its
-    record, or steps on from where it stopped; otherwise (another
-    network's echoes diverged from it) the component is simulated again
-    from round 0. A descriptor that does not yield exactly one transmitter
-    cannot have come from a matching execution (wrong-network advice); it
-    maps to silence, keeping the run total and deterministic.
-    """
-    key = (desc.component, desc.tau)
-    sim = sims.pop(key, None)  # put back only once it has played on cleanly
-    if sim is None or sim.script[:len(echoes)] != echoes[:len(sim.script)]:
-        sim = _EchoSim(p2, params, desc)
-    heard = sim.advance(echoes)
-    sims[key] = sim
-    return heard
 
 
 class _Desc:
     """Stage-3 column step: rebuilds the echo stream from the descriptor
     stream. Descriptor s names the component whose lone member was heard in
-    round 3s-2, and simulating that component recovers the message itself."""
+    round 3s-2, and simulating that component recovers the message itself.
 
-    def __init__(self, echo):
-        self.echo = echo
+    ``sims``, shared by all the stage-3 protocol's nodes, holds at most one
+    ``_EchoSim`` per (component, tau). When its script and the echoes so
+    far agree on their common prefix it answers from its record, or steps
+    on from where it stopped; otherwise (another network's echoes diverged
+    from it) the component is simulated again from round 0. A descriptor
+    that does not yield exactly one transmitter cannot have come from a
+    matching execution (wrong-network advice); it maps to silence, keeping
+    the run total and deterministic.
+    """
+
+    def __init__(self, p2: Protocol, params: C2Params, sims: dict):
+        self.p2, self.params, self.sims = p2, params, sims
         self.echoes: list = []
 
     def __call__(self, s: int, obs):
@@ -336,9 +322,15 @@ class _Desc:
             return obs
         echo = None
         if isinstance(obs, Received):
-            if not isinstance(obs.message, ComponentDesc):
+            desc = obs.message
+            if not isinstance(desc, ComponentDesc):
                 raise ProtocolBindingError(f"expected a component descriptor at round {3 * s}")
-            echo = self.echo(obs.message, self.echoes)
+            key = (desc.component, desc.tau)
+            sim = self.sims.pop(key, None)  # put back only once it has played on cleanly
+            if sim is None or sim.script[:len(self.echoes)] != self.echoes[:len(sim.script)]:
+                sim = _EchoSim(self.p2, self.params, desc)
+            echo = sim.advance(self.echoes)
+            self.sims[key] = sim
         self.echoes.append(echo)
         return PHI if echo is None else Received(SOURCE, echo)
 
@@ -357,7 +349,7 @@ def to_pi3(p2: Protocol) -> Protocol:
     copies share the component simulations that rebuild the echoes."""
     require_stage(p2, StageTag.PI2, "to_pi3")
     params = p2.params
-    desc = partial(_Desc, partial(_component_echo, p2, params, {}))
+    desc = partial(_Desc, p2, params, {})
 
     def setup(net: Network, max_rounds: int) -> Protocol:
         taus = c2_taus(net)
@@ -416,7 +408,7 @@ class _Advised:
             raise ProtocolBindingError(
                 f"advice has {len(self.advice.entries)} entries, round {3 * s + 1} needs {s}"
             )
-        entry = self.advice.entry(s)
+        entry = self.advice.entries[s - 1]
         return PHI if entry is None else Received(SOURCE, entry)
 
 

@@ -3,8 +3,8 @@
 These exercise paths the registry protocols never touch: leaf
 transmissions, an active source, content-dependent middle-layer behavior,
 sources that branch on sender identity, a component named again and again
-by descriptors, pseudo-random but deterministic schedules, and three
-protocols that break legality.
+by descriptors, pseudo-random but deterministic schedules, a source that
+sends the payload late, and three protocols that break legality.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from radiolb import (
     Received,
     Transmit,
 )
-from radiolb.c2 import layer_of
+from radiolb.c2 import l1_index, layer_of
 from radiolb.protocols import has_received_payload
 
 
@@ -256,3 +256,28 @@ def echo_leaf_prey(params: C2Params) -> Protocol:
         return LISTEN
 
     return Protocol("echo-leaf", step, params=params)
+
+
+def late_payload_prey(params: C2Params) -> Protocol:
+    """A prey that misses its budget with every leaf informed: the source
+    sends an opaque note in round 0 and the payload in round 2, when middle
+    index 1 sends an opaque note of its own and so misses the payload.
+    Informed middle nodes relay the payload in round 3 + their index;
+    leaves listen."""
+
+    def step(ctx):
+        own = ctx.own_label
+        if own == SOURCE:
+            if ctx.round in (0, 2):
+                return Transmit(BroadcastPayload(PAYLOAD) if ctx.round else Opaque(b"note"))
+            return LISTEN
+        if layer_of(own, params) == 2:
+            return LISTEN
+        index = l1_index(own, params)
+        if ctx.round == 2 and index == 1:
+            return Transmit(Opaque(b"note"))
+        if ctx.round == 3 + index and has_received_payload(ctx.history):
+            return Transmit(BroadcastPayload(PAYLOAD))
+        return LISTEN
+
+    return Protocol("late-payload", step, params=params)

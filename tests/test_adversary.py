@@ -47,7 +47,7 @@ from radiolb.errors import (
 )
 from radiolb.selfam import SELECTIVITY_UNIVERSE_CAP
 
-from preys import hash_prey, leaf_ack_prey, sender_hash_prey
+from preys import hash_prey, late_payload_prey, leaf_ack_prey, sender_hash_prey
 
 
 def pi3_of(p0, params):
@@ -259,6 +259,19 @@ def test_sender_sensitive_source_gets_a_witness_or_none(params22):
 # ---------------------------------------------------------------------------
 # cross_check
 # ---------------------------------------------------------------------------
+
+def test_direct_scan_witness_with_every_leaf_informed():
+    # Pruning pins the one component of (1,2) at budget 4, so analyze
+    # scans directly. The first network misses its budget at middle node
+    # 2, not at a leaf, and the witness names component 0's adjacency.
+    params = C2Params(1, 2)
+    p0 = late_payload_prey(params)
+    outcome = analyze(p0, 4, params)
+    assert outcome.family is None
+    assert outcome.witness == Witness(TopologyVector((1,)), (0,), 4, verified=True)
+    trace = run(build_c2(params, outcome.witness.network), p0, 4)
+    assert sorted(trace.network.labels - set(trace.informed)) == [2]
+
 
 def test_cross_check_rejects_fake_witness(params22):
     # round-robin completes on (1,1) by round 4, so budget 5 is survivable

@@ -24,6 +24,7 @@ from radiolb import (
     SetFamily,
     TopologyVector,
     Transmit,
+    adversary,
     build_c2,
     core,
     derive_family,
@@ -179,9 +180,10 @@ def test_z_sweep_plays_every_round_of_its_one_run(monkeypatch, r):
     # One run on (free, 2^k - 1) serves every Z. Its masks end at round
     # 3r-2, and on hash-0's free component most leaves hear by round 7; a
     # sweep that stopped its run once no leaf needs another mask would skip
-    # the acts at which an illegal prey raises.
+    # the acts at which an illegal prey raises. The sweep builds its own
+    # component network, so only its run is counted.
     params = C2Params(2, 3)
-    rounds = recorded_nets(monkeypatch, prune)
+    rounds = recorded_nets(monkeypatch, adversary)
     p3 = transform_chain(hash_prey(params, 0), params, 3)
     pr = run_prune(p3, r, params)
     rounds.clear()

@@ -1,7 +1,8 @@
 """Static checks over the package source: every module but the package's
 ``__init__`` (which imports in order to re-export) uses each name it
-imports, the engine loop is the one caller of ``step_round``, and importing
-the package runs no loop."""
+imports, the engine loop is the one caller of ``step_round``, only
+``core.run`` and ``reductions.middle_tx`` start a run, and importing the
+package runs no loop."""
 
 from __future__ import annotations
 
@@ -43,13 +44,21 @@ def calls_of(name: str, node: ast.AST, scope: str):
         yield from calls_of(name, child, inner)
 
 
+def callers_of(name: str) -> list[str]:
+    return [scope for path in sorted(SRC.glob("*.py"))
+            for scope in calls_of(name, ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+
+
 def test_only_the_engine_loop_plays_rounds():
     # a second loop over step_round would be a second engine, one that
     # could skip the legality rule
-    callers = [scope for path in sorted(SRC.glob("*.py"))
-               for scope in calls_of("step_round", ast.parse(path.read_text(encoding="utf-8")),
-                                     path.stem)]
-    assert callers == ["core.Execution.step"]
+    assert callers_of("step_round") == ["core.Execution.step"]
+
+
+def test_only_two_readers_start_a_run():
+    # a whole run, or the middle nodes' transmissions of a component run:
+    # a third reader would be a second loop over Execution.step
+    assert callers_of("Execution") == ["core.run", "reductions.middle_tx"]
 
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
