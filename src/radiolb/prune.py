@@ -84,7 +84,7 @@ def _prune(p3: Protocol, vectors, r: int, params: C2Params):
     p4 = pi4_with_advice(p3, AdviceString(entries))
     runs = {}  # (component, tau) -> its reader, carried forward
     for t in range(1, r):
-        runs = {key: runs.get(key) or middle_tx(component_net(params, *key), p4, 3 * r - 4)
+        runs = {key: runs.get(key) or middle_tx(component_net(params, *key), p4)
                 for key in sorted({(i, tau) for tv in survivors for i, tau in enumerate(tv.taus)})}
         tx = {key: next(run) for key, run in runs.items()}  # round 3t-2
         tables.append(tx)

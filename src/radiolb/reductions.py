@@ -12,8 +12,8 @@ layers:
            nodes run a stage-1 replica of the source on the echo stream.
   stage 3  the source (given the full topology as a privileged input) sends
            only component descriptors <i, tau>. Middle nodes rebuild each
-           echo by simulating the named component against the echoes so
-           far.
+           echo by simulating the named component at stage 1 against the
+           source column they rebuilt so far.
   stage 4  the source transmits the whole descriptor sequence once, as an
            advice string attached to the round-0 payload, then stays silent.
 
@@ -27,14 +27,15 @@ simulating one component alone, which ignores any other edge.
 Every staged node but a stage 2-4 source is one ``_Phased``: its base node
 process, fed one collapsed observation per round triple at its next act. A
 stage 2-4 middle node also has a column, one step per stage above 1, that
-rebuilds what the stage-1 source sent from advice (stage 4), descriptors
-(stage 3) and echoes (stage 2); leaves run their stage-1 selves.
+rebuilds what the stage-1 source sent, round 0 included, from advice
+(stage 4), descriptors (stage 3) and echoes (stage 2); its stage-2 step,
+the source replica, records it. Leaves run their stage-1 selves.
 
 ``middle_tx`` is the one reader of a run on the source plus one component
 (``c2.component_net``): it yields the middle nodes' transmissions of each
 round 3j+1. Pruning and the Z-sweep read advised stage-4 runs with it, and
-stage 3 its component simulations, whose source replays the echo script
-and in which an illegal transmission is suppressed, never raised. The one
+stage 3 its component simulations, whose source replays a middle node's
+source column and in which an illegal transmission is suppressed. The one
 cache is each stage-3 protocol's set of simulations, at most one per
 (component, tau): each records the echo it rebuilt after every prefix of
 its script, so a prefix it has played is answered from the record and a
@@ -179,18 +180,17 @@ def middle_tx(net: Network, proto: Protocol, rounds=math.inf, **run):
 
 class _Source:
     """Stage 2-4 source: ``first`` in round 0; in each round 3s, s >= 1,
-    ``say(s, heard)`` of what it observed in round 3s-2 (None, or no
-    ``say``, is silence); silence otherwise. In a component simulation,
-    ``say`` replays the echo script and illegal acts are suppressed."""
+    ``say(s, heard)`` of what it observed in round 3s-2; silence otherwise
+    and for None. In a component simulation, ``first`` and ``say`` replay
+    a stage-1 source's column and illegal acts are suppressed."""
 
-    def __init__(self, first, say=None):
+    def __init__(self, first, say=lambda s, heard: None):
         self.first, self.say = first, say
         self.heard, self.rounds = PHI, 0
 
     def act(self, round: int):
-        if round == 0:
-            return Transmit(self.first)
-        msg = self.say(round // 3, self.heard) if round % 3 == 0 and self.say is not None else None
+        s, phase = divmod(round, 3)
+        msg = None if phase else (self.say(s, self.heard) if s else self.first)
         return LISTEN if msg is None else Transmit(msg)
 
     def observe(self, obs) -> None:
@@ -201,8 +201,8 @@ class _Source:
 
 def _staged(inner: Protocol, stage: StageTag, source, step, setup=None) -> Protocol:
     """A stage 2-4 protocol over ``inner``: ``source()`` builds the source's
-    node, a middle node takes its previous-stage self's base and column and
-    puts ``step()`` in front, and a leaf is its previous-stage self. That
+    node, a middle node is its previous-stage self with ``step(*column)``
+    put in front of its column, and a leaf is its previous-stage self. That
     self comes from ``inner.node``: pruning's stage 4 runs over an unbound
     stage 3, and only a source needs binding (``source`` is None until then)."""
     params = inner.params
@@ -214,7 +214,7 @@ def _staged(inner: Protocol, stage: StageTag, source, step, setup=None) -> Proto
         me = inner.node(own, neighbors)
         if lay == 2:
             return me
-        return _Phased(me.base, 1, (step(), *me.column))
+        return _Phased(me.base, 1, (step(*me.column), *me.column))
 
     return Protocol(f"{stage.value}[{inner.name}]", None, setup=setup, stage=stage,
                     params=params, node=node)
@@ -225,23 +225,24 @@ def _staged(inner: Protocol, stage: StageTag, source, step, setup=None) -> Proto
 # ---------------------------------------------------------------------------
 
 class _Echo:
-    """Stage-2 column step: replays the stage-1 source from the echo
-    stream. In round 3s the echo tells what the source received in round
+    """Stage-2 column step: a replica of ``p1``'s source fed the echo
+    stream, and its node's one record of the stage-1 source's column:
+    ``said[s]`` is its message in round 3s (None for silence), round 0
+    included. The echo of round 3s tells what the source received in round
     3s-2; its other sub-rounds are necessarily phi (no neighbor of the
     source transmits there)."""
 
-    def __init__(self, source):
-        self.source = source
-        source.act(0)  # whether it transmits in round 0 decides how triple 0 collapses
+    def __init__(self, p1: Protocol, labels: tuple):
+        self.p1, self.source, self.said = p1, spawn(p1, SOURCE, labels), []
 
     def __call__(self, s: int, obs):
-        if s == 0:
-            return obs
-        echoed = Received(UNKNOWN_SENDER, obs.message) if isinstance(obs, Received) else PHI
-        for seen in (PHI, echoed, PHI):
-            self.source.observe(seen)
+        if s:
+            echoed = Received(UNKNOWN_SENDER, obs.message) if isinstance(obs, Received) else PHI
+            for seen in (PHI, echoed, PHI):
+                self.source.observe(seen)
         act = self.source.act(3 * s)
-        return Received(SOURCE, act.message) if isinstance(act, Transmit) else PHI
+        self.said.append(act.message if isinstance(act, Transmit) else None)
+        return PHI if self.said[-1] is None else Received(SOURCE, self.said[-1])
 
 
 def to_pi2(p1: Protocol) -> Protocol:
@@ -255,7 +256,7 @@ def to_pi2(p1: Protocol) -> Protocol:
         p1, StageTag.PI2,
         lambda: _Source(BroadcastPayload(PAYLOAD),
                         lambda s, heard: heard.message if isinstance(heard, Received) else None),
-        lambda: _Echo(spawn(p1, SOURCE, all_l1)),
+        lambda: _Echo(p1, all_l1),
     )
 
 
@@ -266,72 +267,69 @@ def to_pi2(p1: Protocol) -> Protocol:
 class _EchoSim:
     """One component run against a scripted source, carried forward.
 
-    The run (read by ``middle_tx``) is on the component alone, whose source
-    is a ``_Source`` replaying the echo script: payload at round 0, then
-    ``script[s-1]`` (or silence) at round 3s. Middle nodes and the leaf run
-    stage 2 on what they observe of the script and of each other, which
-    matches their real behavior on any network where the script matches
-    the source. ``script`` holds the entries played so far,
-    and ``heard[s]`` the message of the lone middle-layer transmitter in
-    round 3s+1 (None when zero or several transmit) for every s played.
-    An illegal transmission inside the run is suppressed, never raised:
-    the script may be another network's, and on the network it comes from
-    the real run meets that act first.
+    The run (read by ``middle_tx``) is stage 1 on the component alone,
+    whose source is a ``_Source`` replaying a stage-1 source's column:
+    ``first`` in round 0, then ``script[s]`` in round 3s. ``script`` holds
+    the entries played so far, and ``heard[s]`` the message of the lone
+    middle-layer transmitter in round 3s+1 (None when zero or several
+    transmit) for every s played. An illegal transmission inside the run
+    is suppressed, never raised: the script may be another network's, and
+    on the network it comes from the real run meets that act first. Under
+    a source silent in round 0 the staged run's middle nodes still heard
+    the staged payload, so only the suppression of acts illegal at stage 1
+    can differ.
     """
 
-    def __init__(self, p2: Protocol, params: C2Params, desc: ComponentDesc):
+    def __init__(self, p1: Protocol, params: C2Params, desc: ComponentDesc, first):
         script = self.script = []
         self.heard: list = []
-        source = _Source(BroadcastPayload(PAYLOAD), lambda s, heard: script[s - 1])
-        proto = replace(p2, node=lambda own, nbrs: source if own == SOURCE else p2.node(own, nbrs))
+        source = _Source(first, lambda s, heard: script[s])
+        proto = replace(p1, node=lambda own, nbrs: source if own == SOURCE else p1.node(own, nbrs))
         self.tx = middle_tx(component_net(params, desc.component, desc.tau), proto,
                             collect_violations=[])
 
-    def advance(self, echoes: list) -> Message | None:
-        """``heard[len(echoes)]`` under script ``echoes``, which must agree
-        with ``script`` on their common prefix; plays on through round
-        3*len(echoes)+1 if that round is still ahead."""
-        self.script.extend(echoes[len(self.script):])
-        while len(self.heard) <= len(echoes):
+    def advance(self, said: list) -> Message | None:
+        """The lone transmitter's message in round 3*len(said)-2 under
+        script ``said``, which must agree with ``script`` on their common
+        prefix; plays on through that round if it is still ahead."""
+        self.script.extend(said[len(self.script):])
+        while len(self.heard) < len(said):
             tx = [*next(self.tx).values()]
             self.heard.append(tx[0] if len(tx) == 1 else None)
-        return self.heard[len(echoes)]
+        return self.heard[len(said) - 1]
 
 
 class _Desc:
     """Stage-3 column step: rebuilds the echo stream from the descriptor
     stream. Descriptor s names the component whose lone member was heard in
-    round 3s-2, and simulating that component recovers the message itself.
+    round 3s-2; simulating that component against the source column the
+    node rebuilt so far, ``echo.said``, recovers the message itself.
 
     ``sims``, shared by all the stage-3 protocol's nodes, holds at most one
-    ``_EchoSim`` per (component, tau). When its script and the echoes so
+    ``_EchoSim`` per (component, tau). When its script and the column so
     far agree on their common prefix it answers from its record, or steps
-    on from where it stopped; otherwise (another network's echoes diverged
+    on from where it stopped; otherwise (another network's column diverged
     from it) the component is simulated again from round 0. A descriptor
     that does not yield exactly one transmitter cannot have come from a
     matching execution (wrong-network advice); it maps to silence, keeping
     the run total and deterministic.
     """
 
-    def __init__(self, p2: Protocol, params: C2Params, sims: dict):
-        self.p2, self.params, self.sims = p2, params, sims
-        self.echoes: list = []
+    def __init__(self, params: C2Params, sims: dict, echo: _Echo):
+        self.params, self.sims, self.echo = params, sims, echo
 
     def __call__(self, s: int, obs):
-        if s == 0:
-            return obs
-        echo = None
-        if isinstance(obs, Received):
-            desc = obs.message
-            if not isinstance(desc, ComponentDesc):
-                raise ProtocolBindingError(f"expected a component descriptor at round {3 * s}")
-            key = (desc.component, desc.tau)
-            sim = self.sims.pop(key, None)  # put back only once it has played on cleanly
-            if sim is None or sim.script[:len(self.echoes)] != self.echoes[:len(sim.script)]:
-                sim = _EchoSim(self.p2, self.params, desc)
-            echo = sim.advance(self.echoes)
-            self.sims[key] = sim
-        self.echoes.append(echo)
+        if not (s and isinstance(obs, Received)):
+            return PHI  # round 0 is the _Echo's own
+        desc, said = obs.message, self.echo.said
+        if not isinstance(desc, ComponentDesc):
+            raise ProtocolBindingError(f"expected a component descriptor at round {3 * s}")
+        key = (desc.component, desc.tau)
+        sim = self.sims.pop(key, None)  # put back only once it has played on cleanly
+        if sim is None or sim.script[:len(said)] != said[:len(sim.script)]:
+            sim = _EchoSim(self.echo.p1, self.params, desc, said[0])
+        echo = sim.advance(said)
+        self.sims[key] = sim
         return PHI if echo is None else Received(SOURCE, echo)
 
 
@@ -349,7 +347,7 @@ def to_pi3(p2: Protocol) -> Protocol:
     copies share the component simulations that rebuild the echoes."""
     require_stage(p2, StageTag.PI2, "to_pi3")
     params = p2.params
-    desc = partial(_Desc, p2, params, {})
+    desc = partial(_Desc, params, {})
 
     def setup(net: Network, max_rounds: int) -> Protocol:
         taus = c2_taus(net)
@@ -392,7 +390,7 @@ def make_advice(p3: Protocol, net: Network, r: int) -> AdviceString:
 class _Advised:
     """Stage-4 column step: the advice is exactly the descriptor stream a
     stage-3 source would have transmitted. It comes with the round-0
-    payload, which the stage-3 self sees without it."""
+    payload; what the base self sees in round 0 is the ``_Echo``'s."""
 
     def __init__(self):
         self.advice = None
@@ -403,7 +401,7 @@ class _Advised:
                     and isinstance(obs.message.advice, AdviceString)):
                 raise ProtocolBindingError("middle node saw no advice in round 0")
             self.advice = obs.message.advice
-            return Received(obs.sender, BroadcastPayload(obs.message.data, None))
+            return obs
         if len(self.advice.entries) < s:
             raise ProtocolBindingError(
                 f"advice has {len(self.advice.entries)} entries, round {3 * s + 1} needs {s}"
@@ -416,7 +414,7 @@ def pi4_with_advice(p3: Protocol, advice: AdviceString) -> Protocol:
     """Stage 4 under a fixed advice string (not necessarily the network's own)."""
     require_stage(p3, StageTag.PI3, "pi4_with_advice")
     return _staged(p3, StageTag.PI4, lambda: _Source(BroadcastPayload(PAYLOAD, advice)),
-                   _Advised)
+                   lambda *column: _Advised())
 
 
 def to_pi4(p3: Protocol) -> Protocol:

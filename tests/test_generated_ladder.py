@@ -4,10 +4,12 @@ Each protocol is a finite-state table: a node's action in round t >= 1 is
 read from a table keyed on (layer, own label mod 2, t mod period, class of
 its last base observation, class of that observation's sender); the label
 class lets nodes of one layer break their symmetry. Only the source
-transmits in round 0. A drawn flag decides whether a non-source node may
-transmit before it has received anything; without it the table is legal.
-The source's key ignores senders, the condition under which an echo loses
-nothing.
+transmits in round 0, a drawn message or nothing. A drawn flag decides
+whether a non-source node may transmit before it has received anything;
+without it the table is legal. The source's key ignores senders, the
+condition under which an echo loses nothing. The source is silent in
+round 0 only under a legal table: a stage 2-4 middle node still hears the
+staged payload then, so a spontaneous one's violations differ by design.
 
 Networks are c2 networks, some with extra edges between non-source nodes.
 Every stage runs with ``collect_violations``, which suppresses illegal
@@ -49,7 +51,8 @@ MAX_PERIOD = 3
 HORIZON = 30
 
 
-def table_prey(params: C2Params, period: int, actions: list[int], spontaneous: bool) -> Protocol:
+def table_prey(params: C2Params, period: int, actions: list[int], spontaneous: bool,
+               first: int) -> Protocol:
     keys = product(range(3), range(LABEL_CLASSES), range(period), range(len(MESSAGES)),
                    range(SENDER_CLASSES))
     table = dict(zip(keys, actions))
@@ -57,7 +60,7 @@ def table_prey(params: C2Params, period: int, actions: list[int], spontaneous: b
     def step(ctx):
         own, t = ctx.own_label, ctx.round
         if t == 0:
-            return Transmit(BroadcastPayload(PAYLOAD)) if own == SOURCE else LISTEN
+            return Transmit(MESSAGES[first]) if own == SOURCE and first else LISTEN
         layer = layer_of(own, params)
         if layer and not spontaneous and not any(isinstance(o, Received) for o in ctx.history):
             return LISTEN
@@ -80,16 +83,18 @@ def cases(draw):
     period = draw(st.integers(1, MAX_PERIOD))
     size = 3 * LABEL_CLASSES * period * len(MESSAGES) * SENDER_CLASSES
     actions = draw(st.lists(st.integers(0, len(MESSAGES) - 1), min_size=size, max_size=size))
-    return params, taus, extra, period, actions, draw(st.booleans())
+    spontaneous = draw(st.booleans())
+    first = draw(st.integers(1 if spontaneous else 0, len(MESSAGES) - 1))
+    return params, taus, extra, period, actions, spontaneous, first
 
 
 @given(cases())
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 def test_generated_sender_blind_protocols_climb_the_ladder(case):
-    params, taus, extra, period, actions, spontaneous = case
+    params, taus, extra, period, actions, spontaneous, first = case
     c2_edges = build_c2(params, TopologyVector(taus)).edges()
     net = Network(range(params.n), sorted(c2_edges) + extra, c2_params=params, c2_taus=taus)
-    p0 = table_prey(params, period, actions, spontaneous)
+    p0 = table_prey(params, period, actions, spontaneous, first)
     stages = (1, 2) if extra else (1, 2, 3, 4)
     columns, violations = {}, {}
     for stage in stages:

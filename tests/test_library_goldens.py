@@ -49,6 +49,7 @@ from radiolb import (
 from preys import (
     cyclic_prey,
     hash_prey,
+    late_payload_prey,
     leaf_ack_prey,
     relay_prey,
     sender_answer_prey,
@@ -69,6 +70,7 @@ PREYS = {
     "sender-hash-123": lambda params: sender_hash_prey(params, 123),
     "cyclic": cyclic_prey,
     "spontaneous-leaf": spontaneous_leaf_prey,
+    "late-payload": late_payload_prey,
 }
 FAMILIES = ((1, 2), (2, 2))
 GROUPS = [f"{prey} m={m},k={k}" for prey in PREYS for m, k in FAMILIES]

@@ -57,7 +57,14 @@ from radiolb.c2 import layer_of
 from radiolb.errors import ProtocolBindingError, SpontaneityViolation, StageMismatch
 from radiolb.reductions import transform_chain
 
-from preys import echo_leaf_prey, hash_prey, leaf_ack_prey, relay_prey, spontaneous_leaf_prey
+from preys import (
+    echo_leaf_prey,
+    hash_prey,
+    late_payload_prey,
+    leaf_ack_prey,
+    relay_prey,
+    spontaneous_leaf_prey,
+)
 
 
 def preys(params: C2Params):
@@ -188,6 +195,23 @@ def test_equivalence_ladder_for_arbitrary_preys(seed, params22):
                         )
 
 
+@pytest.mark.parametrize("m,k", [(1, 2), (2, 2)])
+def test_middle_nodes_hear_the_stage_1_sources_round_0_message(m, k):
+    # late-payload's source sends an opaque note in round 0 and the payload
+    # in round 2. A stage 2-4 middle node's base self must hear the note, as
+    # at stage 1, and not the staged source's round-0 payload: middle index
+    # 1, which misses the round-2 payload, would then relay it in base
+    # round 4 on every network, where at stage 1 it never does.
+    params = C2Params(m, k)
+    staged = chain(late_payload_prey(params), params)
+    for tv in enumerate_c2(params):
+        net = build_c2(params, tv)
+        columns = [[{x: a for x, a in rec.actions.items() if x != SOURCE}
+                    for rec in run(net, ps, 21).rounds] for ps in staged]
+        for stage, column in enumerate(columns[1:], 2):
+            assert column == columns[0], (tv.taus, stage)
+
+
 def test_silent_stays_silent_after_round_zero(params22):
     p1 = to_pi1(silent_l1(params22), params22)
     trace = run(build_c2(params22, TopologyVector((3, 1))), p1, 12)
@@ -256,6 +280,28 @@ def test_source_silent_when_no_middle_transmission(params22):
     trace = run(build_c2(params22, TopologyVector((2, 2))), p3, 12)
     for rec in trace.rounds[1:]:
         assert not isinstance(rec.actions[SOURCE], Transmit)
+
+
+def test_each_middle_node_builds_one_source_replica(monkeypatch, params22):
+    # A stage 2-4 middle node's _Echo is its one record of the stage-1
+    # source's column, and the echo simulations run stage 1 against it, so
+    # no simulated node builds a replica of its own.
+    built = []
+    real_init = reductions._Echo.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(reductions._Echo, "__init__", counting_init)
+    net = build_c2(params22, TopologyVector((3, 1)))
+    p3 = transform_chain(round_robin(params22), params22, 3)
+    run(net, p3, 30)
+    assert len(built) == params22.m * params22.k
+    advice = make_advice(p3, net, 10)
+    built.clear()
+    run(net, pi4_with_advice(transform_chain(round_robin(params22), params22, 3), advice), 30)
+    assert len(built) == params22.m * params22.k
 
 
 def test_component_simulation_suppresses_what_the_real_run_suppresses(params12):
