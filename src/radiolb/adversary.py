@@ -7,12 +7,13 @@ subset Z of that component: if some Z-variant network never delivers
 anything to the component's leaf within 3r rounds of the advised stage-4
 run, then the original protocol provably misses its budget on that network.
 One run of the free component, read by ``reductions.middle_tx``, serves
-every Z. The emitted witness is always re-verified by a direct untransformed
+every Z. The pipeline's witness is re-verified by one direct untransformed
 run.
 
 When pruning marks every component (budget too large for the family size),
 the pipeline falls back to direct exhaustive simulation over the family, so
-the answer stays truthful at desk scale.
+the answer stays truthful at desk scale. A fallback witness is the verdict
+of the direct run that found it, so that run is its verification.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ class DerivedFamily:
 
 @dataclass
 class Witness:
+    """A network on which the protocol misses ``budget``. ``unhit_z`` is the
+    adjacency of the unhit leaf, () when only middle nodes miss the budget;
+    ``verified`` says a direct run of the protocol has missed it."""
+
     network: TopologyVector
     unhit_z: tuple[int, ...]
     budget: int
@@ -117,28 +122,16 @@ def cross_check(p0: Protocol, w: Witness, params: C2Params) -> bool:
     return core.completion_round(trace) is None
 
 
-def _verified(p0: Protocol, params: C2Params, tv: TopologyVector,
-              z: tuple[int, ...], budget: int) -> Witness:
-    w = Witness(tv, z, budget, verified=False)
-    if not cross_check(p0, w, params):
-        raise WitnessInconsistency(
-            f"candidate witness {tv} completes within {budget}; transformer bug"
-        )
-    return Witness(tv, z, budget, verified=True)
-
-
 def _direct_scan(p0: Protocol, r: int, params: C2Params) -> Witness | None:
-    """Exhaustive fallback: run the protocol itself on every network."""
+    """Exhaustive fallback: run the protocol itself on every network. The
+    first run to miss the budget is the verdict and the verification of its
+    witness; Z is the first uninformed leaf's adjacency, () if none is."""
     for tv in enumerate_c2(params):
         trace = core.run(build_c2(params, tv), p0, r)
         if core.completion_round(trace) is None:
-            uninformed = sorted(trace.network.labels - set(trace.informed))
-            comp = next(
-                (i for i in range(params.m) if l2_label(params, i) in uninformed),
-                0,
-            )
-            z = mask_to_indices(tv.taus[comp])
-            return _verified(p0, params, tv, z, r)
+            z = next((mask_to_indices(tau) for i, tau in enumerate(tv.taus)
+                      if l2_label(params, i) not in trace.informed), ())
+            return Witness(tv, z, r, verified=True)
     return None
 
 
@@ -146,10 +139,12 @@ def analyze(p0: Protocol, r: int, params: C2Params) -> AdversaryOutcome:
     """Run the full pipeline and report the witness plus derived family.
 
     Every returned witness has been confirmed by a direct run of the
-    original protocol. A None witness means the construction found none; it
-    is exhaustive only after the direct-scan fallback (``family`` None). A k
-    above the Z-sweep's cap is refused before anything runs, even where
-    pruning would have fallen back to the direct scan.
+    original protocol: a fallback witness by the scan's own run, a pipeline
+    witness by one more run (``WitnessInconsistency`` if it completes). A
+    None witness means the construction found none; it is exhaustive only
+    after the direct-scan fallback (``family`` None). A k above the
+    Z-sweep's cap is refused before anything runs, even where pruning would
+    have fallen back to the direct scan.
     """
     if r < 1:
         raise ValueError("budget must be >= 1")
@@ -162,11 +157,14 @@ def analyze(p0: Protocol, r: int, params: C2Params) -> AdversaryOutcome:
         return AdversaryOutcome(_direct_scan(p0, r, params), None)
     p4 = pi4_with_advice(p3, pr.advice)
     df = derive_family(p4, pr.free_component, r, params)
-    for z in range(1, 1 << params.k):
-        if df.first_success[z] is None:
-            tv = pr.base_net.replace(pr.free_component, z)
-            return AdversaryOutcome(_verified(p0, params, tv, mask_to_indices(z), r), df)
-    return AdversaryOutcome(None, df)
+    z = next((z for z, hit in df.first_success.items() if hit is None), None)
+    if z is None:
+        return AdversaryOutcome(None, df)
+    w = Witness(pr.base_net.replace(pr.free_component, z), mask_to_indices(z), r, True)
+    if not cross_check(p0, w, params):
+        raise WitnessInconsistency(
+            f"candidate witness {w.network} completes within {r}; transformer bug")
+    return AdversaryOutcome(w, df)
 
 
 def find_witness(p0: Protocol, r: int, params: C2Params) -> Witness | None:

@@ -4,7 +4,7 @@ These exercise paths the registry protocols never touch: leaf
 transmissions, an active source, content-dependent middle-layer behavior,
 sources that branch on sender identity, a component named again and again
 by descriptors, pseudo-random but deterministic schedules, a source that
-sends the payload late, and three protocols that break legality.
+sends the payload late, and four protocols that break legality.
 """
 
 from __future__ import annotations
@@ -281,3 +281,25 @@ def late_payload_prey(params: C2Params) -> Protocol:
         return LISTEN
 
     return Protocol("late-payload", step, params=params)
+
+
+def round_zero_middle_prey(params: C2Params) -> Protocol:
+    """An illegal prey whose middle nodes all send an opaque note in round
+    0, alongside the source's payload; an informed middle node then sends
+    the payload in the round equal to its label, and leaves listen. A
+    staged middle node acts in sub-round 1, after it has heard the source,
+    so only the untransformed protocol breaks the round-0 rule."""
+
+    def step(ctx):
+        own = ctx.own_label
+        if own == SOURCE:
+            return Transmit(BroadcastPayload(PAYLOAD)) if ctx.round == 0 else LISTEN
+        if layer_of(own, params) == 2:
+            return LISTEN
+        if ctx.round == 0:
+            return Transmit(Opaque(b"early"))
+        if ctx.round == own and has_received_payload(ctx.history):
+            return Transmit(BroadcastPayload(PAYLOAD))
+        return LISTEN
+
+    return Protocol("round-zero-middle", step, params=params)

@@ -41,13 +41,20 @@ from radiolb import (
 from radiolb.c2 import enumerate_c2
 from radiolb.errors import (
     FreeComponentMissing,
+    NonSourceRoundZero,
     StageMismatch,
     UniverseTooLarge,
     WitnessInconsistency,
 )
 from radiolb.selfam import SELECTIVITY_UNIVERSE_CAP
 
-from preys import hash_prey, late_payload_prey, leaf_ack_prey, sender_hash_prey
+from preys import (
+    hash_prey,
+    late_payload_prey,
+    leaf_ack_prey,
+    round_zero_middle_prey,
+    sender_hash_prey,
+)
 
 
 def pi3_of(p0, params):
@@ -263,14 +270,59 @@ def test_sender_sensitive_source_gets_a_witness_or_none(params22):
 def test_direct_scan_witness_with_every_leaf_informed():
     # Pruning pins the one component of (1,2) at budget 4, so analyze
     # scans directly. The first network misses its budget at middle node
-    # 2, not at a leaf, and the witness names component 0's adjacency.
+    # 2, not at a leaf, so the witness names no unhit leaf's adjacency.
     params = C2Params(1, 2)
     p0 = late_payload_prey(params)
     outcome = analyze(p0, 4, params)
     assert outcome.family is None
-    assert outcome.witness == Witness(TopologyVector((1,)), (0,), 4, verified=True)
+    assert outcome.witness == Witness(TopologyVector((1,)), (), 4, verified=True)
     trace = run(build_c2(params, outcome.witness.network), p0, 4)
     assert sorted(trace.network.labels - set(trace.informed)) == [2]
+
+
+def test_each_witness_costs_one_direct_run(monkeypatch):
+    # The fallback's first network on (1,2) at budget 4 misses the budget,
+    # and that one run is both the verdict and the verification. A
+    # pipeline witness costs one direct run: its cross-check.
+    runs = []
+
+    def counted(net, proto, rounds, **kwargs):
+        runs.append(net)
+        return run(net, proto, rounds, **kwargs)
+
+    monkeypatch.setattr("radiolb.core.run", counted)
+    params = C2Params(1, 2)
+    outcome = analyze(late_payload_prey(params), 4, params)
+    assert outcome.family is None and outcome.witness.network == TopologyVector((1,))
+    assert len(runs) == 1
+    runs.clear()
+    params = C2Params(2, 2)
+    outcome = analyze(round_robin(params), 4, params)
+    assert outcome.family is not None and outcome.witness.verified
+    assert len(runs) == 1
+
+
+def test_analyze_refuses_a_middle_node_sending_in_round_zero():
+    # The untransformed prey breaks the round-0 rule at both middle nodes.
+    # Its staged middle nodes act after hearing the source, so the refusal
+    # comes from analyze's direct run: the pipeline witness's cross-check,
+    # or on (1,2) from budget 2, where pruning pins the one component, the
+    # fallback's scan.
+    params = C2Params(1, 2)
+    violations = check_legality(round_zero_middle_prey(params),
+                                build_c2(params, TopologyVector((3,))), 12)
+    assert [(type(v), str(v)) for v in violations] == [
+        (NonSourceRoundZero, f"node {x} transmitted in round 0 but is not the source")
+        for x in (1, 2)]
+    fallbacks = set()
+    for params in (C2Params(1, 2), C2Params(2, 2)):
+        p0 = round_zero_middle_prey(params)
+        for budget in range(1, 5):
+            fallbacks.add(run_prune(pi3_of(p0, params), budget, params).free_component is None)
+            with pytest.raises(NonSourceRoundZero,
+                               match=r"^node 1 transmitted in round 0 but is not the source$"):
+                analyze(p0, budget, params)
+    assert fallbacks == {False, True}
 
 
 def test_cross_check_rejects_fake_witness(params22):

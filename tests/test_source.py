@@ -1,8 +1,8 @@
 """Static checks over the package source: every module but the package's
 ``__init__`` (which imports in order to re-export) uses each name it
 imports, the engine loop is the one caller of ``step_round``, only
-``core.run`` and ``reductions.middle_tx`` start a run, and importing the
-package runs no loop."""
+``core.run`` and ``reductions.middle_tx`` start a run, importing the
+package runs no loop, and no module holds a ``functools`` cache."""
 
 from __future__ import annotations
 
@@ -82,6 +82,33 @@ def import_time_loops(node: ast.AST):
 def test_importing_computes_no_table(path):
     # work at import time lands in every process's set-up, CLI calls included
     assert list(import_time_loops(ast.parse(path.read_text(encoding="utf-8")))) == []
+
+
+FUNCTOOLS_CACHES = {"cache", "cached_property", "lru_cache"}
+
+
+def functools_caches(tree: ast.AST):
+    """Every ``functools`` cache named under ``tree``: imported from
+    ``functools``, or read as an attribute of the imported module."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "functools"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            names = [node.attr]
+        else:
+            continue
+        yield from (f"line {node.lineno}: {name}" for name in names if name in FUNCTOOLS_CACHES)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_cache(path):
+    # a cache keeps what it computed past the call, so it can hold a
+    # protocol its caller dropped; and the benchmark's passes start from a
+    # fresh import's state only because there is no cache to empty
+    assert list(functools_caches(ast.parse(path.read_text(encoding="utf-8")))) == []
 
 
 def test_modules_are_found():
