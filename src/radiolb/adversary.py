@@ -3,9 +3,10 @@
 Given a protocol and a round budget r, the pipeline transforms the protocol
 through all four stages, prunes the network family to a subset sharing one
 advice string, picks a free component, and checks every nonempty adjacency
-subset Z of that component: if some Z-variant network never delivers
-anything to the component's leaf within 3r rounds of the advised stage-4
-run, then the original protocol provably misses its budget on that network.
+subset Z of that component. Z's leaf hears within 3r rounds of the advised
+stage-4 run iff a set the sweep derives, one per base round, selects Z, so
+the verdict is ``selfam.is_selective`` over those sets: an unselected Z
+names a network on which the original protocol provably misses its budget.
 One run of the free component, read by ``reductions.middle_tx``, serves
 every Z. The pipeline's witness is re-verified by one direct untransformed
 run.
@@ -27,17 +28,7 @@ from .errors import (FreeComponentMissing, NonSourceRoundZero, SpontaneityViolat
 from .prune import run_prune
 from .protocols import Protocol, StageTag, silent_l1, spawn
 from .reductions import middle_tx, pi4_with_advice, require_stage, transform_chain
-from .selfam import SELECTIVITY_UNIVERSE_CAP, mask_to_indices
-
-
-@dataclass
-class DerivedFamily:
-    """Per-round transmitter sets over the free component's middle indices,
-    plus the first round each Z-variant's leaf heard anything."""
-
-    universe: int
-    sets: tuple[int, ...]                     # bitmask per j = 0..r-1
-    first_success: dict[int, int | None]      # Z mask -> round or None
+from .selfam import SELECTIVITY_UNIVERSE_CAP, SetFamily, is_selective, mask_to_indices
 
 
 @dataclass
@@ -58,18 +49,19 @@ class AdversaryOutcome:
     pipeline ran (absent on the direct-scan fallback)."""
 
     witness: Witness | None
-    family: DerivedFamily | None
+    family: SetFamily | None
 
 
 def _check_sweep_cap(params: C2Params) -> None:
-    """The Z-sweep's bitmask loop covers all 2^k - 1 subsets Z, so it shares
-    ``is_selective``'s cap on the universe."""
+    """The Z-sweep steps a leaf for each of the 2^k - 1 subsets Z, and its
+    verdict is ``is_selective`` over the derived sets, so it shares that
+    check's cap on the universe."""
     if params.k > SELECTIVITY_UNIVERSE_CAP:
         raise UniverseTooLarge(
             f"Z-sweep over a universe of {params.k} exceeds cap {SELECTIVITY_UNIVERSE_CAP}")
 
 
-def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> DerivedFamily:
+def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> SetFamily:
     """Read one advised stage-4 run of ``p4`` on the free component alone
     (``reductions.middle_tx``, all 3r rounds) under tau = 2^k - 1, its leaf
     held silent. Middle nodes are not adjacent to each other and the source
@@ -78,7 +70,9 @@ def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> DerivedF
     transmit only in rounds 3j+1, when the leaf listens; so Z's leaf first
     hears in round 3j+1 for the first j whose mask meets Z in one node.
     Set j holds the indices in Z that transmit then on some variant whose
-    leaf has not heard before.
+    leaf has not heard before, so set j meets Z as the mask does up to Z's
+    hearing round: Z's leaf hears iff some set selects Z, and the returned
+    sets over universe k are (k,k)-selective iff every leaf hears.
 
     Z's own leaf, with Z's middle nodes as its neighbours, is stepped on
     phi through its hearing round, so an illegal leaf raises at the act of
@@ -93,13 +87,15 @@ def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> DerivedF
     require_stage(p4, StageTag.PI4, "derive_family", params)
     if free is None:
         raise FreeComponentMissing("no free component to vary")
+    if r < 1:
+        raise ValueError("r must be >= 1")
     _check_sweep_cap(params)
     leaf, silent = l2_label(params, free), silent_l1(params)
     held = replace(p4, node=lambda own, nbrs: spawn(silent if own == leaf else p4, own, nbrs))
     net = component_net(params, free, (1 << params.k) - 1)
     run, masks = (sum(1 << j for j in tx) for tx in middle_tx(net, held, 3 * r)), []
-    sets, first_success = [0] * r, dict.fromkeys(range(1, 1 << params.k))
-    for z in first_success:
+    sets = [0] * r
+    for z in range(1, 1 << params.k):
         node = spawn(p4, leaf, tuple(l1_label(params, free, j) for j in mask_to_indices(z)))
         for t in range(3 * r):
             if t % 3 == 1 and len(masks) == t // 3:
@@ -109,11 +105,10 @@ def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> DerivedF
             hit = masks[t // 3] & z if t % 3 == 1 else 0
             sets[t // 3] |= hit
             if hit.bit_count() == 1:
-                first_success[z] = t
                 break
             node.observe(core.PHI)
         masks += run  # Z = 1's run plays to its end before any other leaf acts
-    return DerivedFamily(params.k, tuple(sets), first_success)
+    return SetFamily(params.k, tuple(sets))
 
 
 def cross_check(p0: Protocol, w: Witness, params: C2Params) -> bool:
@@ -138,10 +133,13 @@ def _direct_scan(p0: Protocol, r: int, params: C2Params) -> Witness | None:
 def analyze(p0: Protocol, r: int, params: C2Params) -> AdversaryOutcome:
     """Run the full pipeline and report the witness plus derived family.
 
-    Every returned witness has been confirmed by a direct run of the
-    original protocol: a fallback witness by the scan's own run, a pipeline
-    witness by one more run (``WitnessInconsistency`` if it completes). A
-    None witness means the construction found none; it is exhaustive only
+    A pipeline witness's Z is the first Z that ``is_selective`` finds no
+    derived set selecting, so ``family`` certifies it. Every returned
+    witness has been confirmed by a direct run of the original protocol: a
+    fallback witness by the scan's own run, a pipeline witness by one more
+    run (``WitnessInconsistency`` if it completes). A None witness from the
+    pipeline means the derived sets are (k,k)-selective, which rules out
+    only the networks varying the free component; it is exhaustive only
     after the direct-scan fallback (``family`` None). A k above the
     Z-sweep's cap is refused before anything runs, even where pruning would
     have fallen back to the direct scan.
@@ -157,8 +155,8 @@ def analyze(p0: Protocol, r: int, params: C2Params) -> AdversaryOutcome:
         return AdversaryOutcome(_direct_scan(p0, r, params), None)
     p4 = pi4_with_advice(p3, pr.advice)
     df = derive_family(p4, pr.free_component, r, params)
-    z = next((z for z, hit in df.first_success.items() if hit is None), None)
-    if z is None:
+    selective, z = is_selective(df, params.k, params.k)
+    if selective:
         return AdversaryOutcome(None, df)
     w = Witness(pr.base_net.replace(pr.free_component, z), mask_to_indices(z), r, True)
     if not cross_check(p0, w, params):

@@ -22,7 +22,6 @@ from .prune import run_prune
 from .protocols import get_protocol
 from .reductions import AdviceString, transform_chain
 from .selfam import (
-    SetFamily,
     family_to_lines,
     global_round_bound,
     greedy_selective,
@@ -138,7 +137,7 @@ def _cmd_adversary(args) -> int:
         }
     )
     if outcome.family is not None:
-        for line in family_to_lines(SetFamily(params.k, outcome.family.sets)):
+        for line in family_to_lines(outcome.family):
             print(line)
     return 0
 

@@ -78,6 +78,8 @@ def _event(tx: dict, tv: TopologyVector) -> Event:
 def _prune(p3: Protocol, vectors, r: int, params: C2Params):
     """``run_prune``'s survivor rule on ``vectors``: the survivors, the events
     and advice they share, and the smallest survivor's marks."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
     survivors, events, entries, tables = list(vectors), [], [], []
     # Every reader plays this one advice, which grows as events are decided: a stage-4
     # middle node reads entry s only in round 3s+1, so entry t follows round 3t-2.
@@ -128,8 +130,6 @@ def run_prune(p3: Protocol, r: int, params: C2Params) -> PruneResult:
     whole family is returned untouched.
     """
     require_stage(p3, StageTag.PI3, "run_prune", params)
-    if r < 1:
-        raise ValueError("r must be >= 1")
     survivors, _, advice, marked = _prune(p3, enumerate_c2(params), r, params)
     base = min(survivors)
     free = next((i for i in range(params.m) if i not in marked), None)

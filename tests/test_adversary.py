@@ -13,6 +13,7 @@ from radiolb import (
     AdviceString,
     C2Params,
     Protocol,
+    Received,
     SetFamily,
     StageTag,
     TopologyVector,
@@ -26,6 +27,7 @@ from radiolb import (
     derive_family,
     event_sequence,
     find_witness,
+    is_selective,
     mark_components,
     membership,
     pi4_with_advice,
@@ -38,7 +40,7 @@ from radiolb import (
     to_pi2,
     to_pi3,
 )
-from radiolb.c2 import enumerate_c2
+from radiolb.c2 import enumerate_c2, l2_label
 from radiolb.errors import (
     FreeComponentMissing,
     NonSourceRoundZero,
@@ -75,7 +77,7 @@ def test_silent_derives_an_empty_family(params22):
     pr = run_prune(p3, 2, params22)
     df = derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, 2, params22)
     assert all(f == 0 for f in df.sets)
-    assert all(v is None for v in df.first_success.values())
+    assert is_selective(df, 2, 2) == (False, 1)
 
 
 def test_singletons_recover_their_structure(params22):
@@ -85,10 +87,8 @@ def test_singletons_recover_their_structure(params22):
     assert pr.free_component == 0
     df = derive_family(pi4_with_advice(p3, pr.advice), 0, 2, params22)
     # within budget 2 only base round 1 fires: index 0 of the free component
-    assert df.sets == (0, 0b01)
-    assert df.first_success[0b01] == 4
-    assert df.first_success[0b11] == 4
-    assert df.first_success[0b10] is None
+    assert df == SetFamily(2, (0, 0b01))
+    assert is_selective(df, 2, 2) == (False, 0b10)
 
 
 def test_derive_family_requires_free_component(params22):
@@ -124,22 +124,29 @@ def test_z_sweep_fails_fast_above_the_universe_cap(k):
 
 
 def test_success_table_matches_family_selection(params22):
-    # first success at 3j+1 for the smallest j with |F_j & Z| == 1, and no
-    # success at all iff no round selects Z: the derived family behaves as
-    # a selective family against the success relation.
+    # In the Z-variant's direct stage-4 run, Z's leaf first hears at 3j+1
+    # for the smallest j with |F_j & Z| == 1, and hears nothing iff no set
+    # selects Z: the derived family is selective exactly against the
+    # leaves that hear, and is_selective names the first that does not.
     for p0 in (round_robin(params22), singletons(params22), silent_l1(params22)):
         p3 = pi3_of(p0, params22)
         for r in (2, 3, 4):
             pr = run_prune(p3, r, params22)
             if pr.free_component is None:
                 continue
-            df = derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, r, params22)
+            p4 = pi4_with_advice(p3, pr.advice)
+            df = derive_family(p4, pr.free_component, r, params22)
+            leaf = l2_label(params22, pr.free_component)
+            unheard = []
             for z in range(1, 1 << params22.k):
                 hits = [j for j, f in enumerate(df.sets) if bin(f & z).count("1") == 1]
-                if df.first_success[z] is None:
-                    assert not hits
-                else:
-                    assert df.first_success[z] == 3 * hits[0] + 1
+                net = build_c2(params22, pr.base_net.replace(pr.free_component, z))
+                heard = [rec.round for rec in run(net, p4, 3 * r).rounds
+                         if isinstance(rec.deliveries[leaf], Received)]
+                assert heard[:1] == [3 * j + 1 for j in hits[:1]], (p0.name, r, z)
+                if not heard:
+                    unheard.append(z)
+            assert is_selective(df, 2, 2) == (not unheard, unheard[0] if unheard else None)
 
 
 @pytest.mark.parametrize("other", [C2Params(2, 3), C2Params(1, 2)])

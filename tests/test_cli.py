@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +103,27 @@ def test_adversary_witness_report(capsys):
     }
     # derived family dump, one set per round: only base round 1 fired (index 0)
     assert lines[1:] == ["n=4", "", "0"]
+
+
+def test_adversary_family_lines_certify_the_witness(capsys, tmp_path):
+    # The sets printed after every pipeline witness in the CLI goldens are
+    # a certificate: selfam verify on them names the witness's z as the
+    # first subset no set selects.
+    goldens = Path(__file__).with_name("cli_goldens.jsonl").read_text(encoding="utf-8")
+    fam_file = tmp_path / "fam.txt"
+    certified = 0
+    for record in map(json.loads, goldens.splitlines()):
+        argv, lines = record["argv"], record["stdout"].splitlines()
+        if argv[0] != "adversary" or len(lines) < 2:
+            continue
+        fam_file.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
+        k = argv[argv.index("--k") + 1]
+        code, out, err = invoke(capsys, "selfam", "verify", "--k", k, "--family", str(fam_file))
+        verdict = {"selective": False, "witness": json.loads(lines[0])["z"]}
+        want = json.dumps(verdict, sort_keys=True, separators=(",", ":")) + "\n"
+        assert (code, out, err) == (0, want, ""), argv
+        certified += 1
+    assert certified == 21
 
 
 def test_adversary_none_is_success(capsys):

@@ -7,7 +7,8 @@ the survivor rule over the whole family's event table, and one
 whole-network stage-4 run per Z-variant for the derived family. A second
 Z-sweep reference runs each Z-variant of the free component alone and
 scans the leaf's deliveries and neighbours, sharing nothing with the
-sweep's transmitter masks.
+sweep's transmitter masks. Both Z-sweep references also return the round
+each Z's leaf first heard, which the derived sets must predict.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from radiolb import (
     AdviceString,
     C2Params,
     ComponentDesc,
-    DerivedFamily,
     Network,
     Opaque,
     PruneResult,
@@ -129,15 +129,17 @@ def whole_prune(p3, r, params):
 
 
 def whole_derive_family(p4, pr, free, r, params):
+    """The derived family and, per Z, the round Z's leaf first heard (None
+    if never), from one whole-network stage-4 run per Z-variant."""
     leaf = l2_label(params, free)
     sets = [0] * r
-    first_success = {}
+    first_heard = {}
     for z in range(1, 1 << params.k):
         net = build_c2(params, pr.base_net.replace(free, z))
         trace = core.run(net, p4, 3 * r)
         success = next((rec.round for rec in trace.rounds
                         if isinstance(rec.deliveries[leaf], Received)), None)
-        first_success[z] = success
+        first_heard[z] = success
         cutoff = 3 * r if success is None else success
         for j in range(r):
             if 3 * j + 1 > cutoff:
@@ -145,7 +147,7 @@ def whole_derive_family(p4, pr, free, r, params):
             for x, act in trace.rounds[3 * j + 1].actions.items():
                 if isinstance(act, Transmit) and x in net.neighbors(leaf):
                     sets[j] |= 1 << l1_index(x, params)
-    return DerivedFamily(params.k, tuple(sets), first_success)
+    return SetFamily(params.k, tuple(sets)), first_heard
 
 
 def scan_derive_family(p4, free, r, params):
@@ -154,17 +156,25 @@ def scan_derive_family(p4, free, r, params):
     leaf's neighbours for the transmitters of rounds 3j+1 up to it."""
     leaf = l2_label(params, free)
     sets = [0] * r
-    first_success = {}
+    first_heard = {}
     for z in range(1, 1 << params.k):
         net = component_net(params, free, z)
         rounds = core.run(net, p4, 3 * r).rounds
         heard = [rec.round for rec in rounds if isinstance(rec.deliveries[leaf], Received)]
-        first_success[z] = heard[0] if heard else None
+        first_heard[z] = heard[0] if heard else None
         for j, rec in enumerate(rounds[1:heard[0] + 1 if heard else 3 * r:3]):
             for x in net.neighbors(leaf):
                 if isinstance(rec.actions[x], Transmit):
                     sets[j] |= 1 << l1_index(x, params)
-    return DerivedFamily(params.k, tuple(sets), first_success)
+    return SetFamily(params.k, tuple(sets)), first_heard
+
+
+def assert_selection_predicts_hearing(fam, first_heard):
+    """Per Z, the leaf heard nothing iff no set of ``fam`` selects Z, and
+    otherwise first heard in round 3j+1 for the first j selecting Z."""
+    for z, heard in first_heard.items():
+        hits = [j for j, f in enumerate(fam.sets) if (f & z).bit_count() == 1]
+        assert heard == (3 * hits[0] + 1 if hits else None), (fam, z)
 
 
 def outcome(fn, caught=LegalityViolation):
@@ -194,7 +204,10 @@ def test_z_sweep_matches_per_variant_scan(m, k):
                 got = outcome(lambda: derive_family(pi4_with_advice(p3, advice), free, r, params))
                 want = outcome(lambda: scan_derive_family(
                     pi4_with_advice(ref3, advice), free, r, params))
-                # a DerivedFamily's text is its repr, so this compares every field
+                if isinstance(want, tuple):
+                    want, first_heard = want
+                    assert_selection_predicts_hearing(want, first_heard)
+                # a SetFamily's text is its repr, so this compares every field
                 assert (type(got), str(got)) == (type(want), str(want)), (p0.name, r, free)
                 if isinstance(got, LegalityViolation):
                     raised.add(p0.name)
@@ -264,8 +277,10 @@ def test_component_analysis_matches_whole_networks(m, k):
                 assert mark_components(p3, net, r) == whole_marks(decisive, params)
             p4 = pi4_with_advice(p3, pr.advice)
             for free in range(m):
-                assert derive_family(p4, free, r, params) == whole_derive_family(
-                    p4, pr, free, r, params), (p0.name, r, free)
+                got = derive_family(p4, free, r, params)
+                want, first_heard = whole_derive_family(p4, pr, free, r, params)
+                assert got == want, (p0.name, r, free)
+                assert_selection_predicts_hearing(got, first_heard)
 
 
 def test_event_sequence_needs_a_c2_network(params12):

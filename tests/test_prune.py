@@ -16,11 +16,13 @@ from radiolb import (
     TopologyVector,
     build_c2,
     classify_event,
+    derive_family,
     enumerate_c2,
     event_sequence,
     make_advice,
     mark_components,
     membership,
+    pi4_with_advice,
     round_robin,
     run_prune,
     selfam_driven,
@@ -81,11 +83,21 @@ def test_event_sequence_prunes_under_the_networks_family(other, params22):
 
 
 def test_classify_and_prune_refuse_rounds_below_one(params12):
+    # every pruning entry point and the Z-sweep refuse a budget below 1
+    # instead of answering for an empty run
     p3 = pi3(round_robin, params12)
+    tv = TopologyVector((1,))
+    net = build_c2(params12, tv)
     with pytest.raises(ValueError, match=r"^t must be >= 1$"):
-        classify_event(p3, build_c2(params12, TopologyVector((1,))), 0)
-    with pytest.raises(ValueError, match=r"^r must be >= 1$"):
-        run_prune(p3, 0, params12)
+        classify_event(p3, net, 0)
+    pr = run_prune(p3, 2, params12)
+    for call in (lambda: run_prune(p3, 0, params12),
+                 lambda: event_sequence(p3, net, -3, params12),
+                 lambda: mark_components(p3, net, -3),
+                 lambda: membership(p3, tv, pr, params12, 0),
+                 lambda: derive_family(pi4_with_advice(p3, pr.advice), 0, 0, params12)):
+        with pytest.raises(ValueError, match=r"^r must be >= 1$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
