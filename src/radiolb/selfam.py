@@ -94,8 +94,14 @@ def is_selective(fam: SetFamily, n: int, k: int) -> tuple[bool, int | None]:
     """Check (n,k)-selectivity; on failure also return the first unhit Z.
 
     The witness is the smallest failing subset in ascending bitmask order.
+    The family must be over the universe [n].
     """
     _check_universe(n, k, SELECTIVITY_UNIVERSE_CAP)
+    if fam.universe != n:
+        raise ValueError(f"family universe {fam.universe} disagrees with n={n}")
+    for mask in fam.sets:
+        if mask >> n:
+            raise ValueError(f"set {mask_to_indices(mask)} outside universe [{n}]")
     for z, once in _grow(_columns(fam.sets, n), k, (1 << len(fam.sets)) - 1):
         if not once:
             return False, z
@@ -110,41 +116,50 @@ def greedy_selective(n: int, k: int) -> SetFamily:
         raise UniverseTooLarge(
             f"greedy over n={n}, k={k} tests {pairs} (f, Z) pairs, cap is {GREEDY_PAIR_CAP}")
     uncovered, sel = _selections(n, k)
+    candidates, masks = list(sel), list(sel.values())
     chosen: list[int] = []
     while uncovered:
-        # Ties break toward the smaller mask so the result is canonical.
-        best = max(sel, key=lambda f: ((sel[f] & uncovered).bit_count(), -f))
-        if not sel[best] & uncovered:
+        gains = list(map(int.bit_count, map(uncovered.__and__, masks)))
+        best = max(gains)
+        if not best:
             raise AssertionError("greedy stalled; universe unsatisfiable")
-        chosen.append(best)
-        uncovered &= ~sel[best]
+        # Candidates ascend, so ties break toward the smaller mask.
+        i = gains.index(best)
+        chosen.append(candidates[i])
+        uncovered &= ~masks[i]
     return SetFamily(n, tuple(chosen))
 
 
 def min_selective_size(n: int, k: int) -> int:
     """Exact minimum family size by iterative-deepening exhaustive search.
 
-    Families are unordered for this purpose, so candidates are combinations;
-    a coverage bound prunes branches that cannot finish in the remaining
-    depth.
+    Some member must select the first target not yet selected, so each
+    level branches only on the candidates that do. The first target is
+    {0}, and permuting 1..n-1 turns the member holding 0 into {0..s-1}, so
+    the root tries only those n candidates. A coverage bound prunes states
+    that cannot finish in the remaining depth, and a state refuted at one
+    depth is remembered across the deepening sizes.
     """
     _check_universe(n, k, MIN_SEARCH_UNIVERSE_CAP)
     full, sel = _selections(n, k)
-    masks = list(sel.values())
-    best_single = max(m.bit_count() for m in masks)
+    best_single = max(m.bit_count() for m in sel.values())
+    selecting = [[m for m in sel.values() if m >> i & 1] for i in range(full.bit_length())]
+    refuted: dict[int, int] = {}  # covered -> largest depth it cannot finish in
 
-    def covers(depth: int, covered: int, start: int) -> bool:
+    def covers(depth: int, covered: int) -> bool:
         if covered == full:
             return True
-        if depth == 0 or (full & ~covered).bit_count() > depth * best_single:
+        if (depth == 0 or refuted.get(covered, 0) >= depth
+                or (full ^ covered).bit_count() > depth * best_single):
             return False
-        return any(
-            masks[i] & ~covered and covers(depth - 1, covered | masks[i], i + 1)
-            for i in range(start, len(masks))
-        )
+        first = (~covered & (covered + 1)).bit_length() - 1
+        if any(covers(depth - 1, covered | m) for m in selecting[first]):
+            return True
+        refuted[covered] = depth
+        return False
 
     size = 1
-    while not covers(size, 0, 0):
+    while not any(covers(size - 1, sel[(1 << s) - 1]) for s in range(1, n + 1)):
         size += 1
     return size
 

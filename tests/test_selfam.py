@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 import tracemalloc
 from functools import lru_cache
@@ -57,6 +58,15 @@ def test_all_singletons_selective_for_every_k(n):
 def test_universe_cap():
     with pytest.raises(UniverseTooLarge):
         is_selective(fam(20, {0}), 20, 2)
+
+
+def test_is_selective_refuses_a_family_over_another_universe():
+    with pytest.raises(ValueError, match=r"^family universe 2 disagrees with n=4$"):
+        is_selective(fam(2, {0}, {1}), 4, 2)
+    with pytest.raises(ValueError, match=r"^family universe 4 disagrees with n=2$"):
+        is_selective(fam(4, {0}, {1}), 2, 2)
+    with pytest.raises(ValueError, match=r"^set \(1, 4\) outside universe \[4\]$"):
+        is_selective(fam(4, {0}, {1, 4}), 4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +233,8 @@ def test_greedy_pair_cap_admits_a_table_of_exactly_its_size(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Exact minimum: cross-checked against a plain combinations search
+# Exact minimum: cross-checked against a plain combinations search and the
+# combinations search the exact minimum ran before it branched on targets
 # ---------------------------------------------------------------------------
 
 def brute_min(n, k):
@@ -238,6 +249,32 @@ def brute_min(n, k):
     raise AssertionError("unreachable: singletons always work")
 
 
+def combo_min(n, k):
+    """Iterative deepening over combinations of candidates in ascending
+    order, pruned by the coverage bound only."""
+    full, sel = selfam._selections(n, k)
+    masks = list(sel.values())
+    best_single = max(m.bit_count() for m in masks)
+
+    def covers(depth, covered, start):
+        if covered == full:
+            return True
+        if depth == 0 or (full & ~covered).bit_count() > depth * best_single:
+            return False
+        return any(
+            masks[i] & ~covered and covers(depth - 1, covered | masks[i], i + 1)
+            for i in range(start, len(masks))
+        )
+
+    size = 1
+    while not covers(size, 0, 0):
+        size += 1
+    return size
+
+
+SMALL = [(n, k) for n in range(1, 6) for k in range(1, n + 1)]
+
+
 def test_min_selective_size_pinned_values():
     assert min_selective_size(1, 1) == 1
     assert min_selective_size(2, 2) == 2
@@ -249,9 +286,35 @@ def test_min_selective_size_pinned_values():
     assert m33 == 3
 
 
-@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 4)])
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in SMALL if n <= 4])
 def test_min_matches_brute_force(n, k):
     assert min_selective_size(n, k) == brute_min(n, k)
+
+
+@pytest.mark.parametrize("n,k", SMALL)
+def test_min_matches_the_combinations_search(n, k):
+    assert min_selective_size(n, k) == combo_min(n, k)
+
+
+def test_min_search_work_at_5_5():
+    # Recursive calls of the exact search at (5,5): 6,529. The combinations
+    # search made 30,746, and the target-branching search made 19,769
+    # without its memo of refuted states and 12,154 without the root's
+    # symmetry break.
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "covers":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        size = min_selective_size(5, 5)
+    finally:
+        sys.setprofile(None)
+    assert size == 5
+    assert 0 < calls <= 8_000
 
 
 def test_min_universe_cap():
@@ -260,9 +323,8 @@ def test_min_universe_cap():
 
 
 def test_min_never_exceeds_greedy():
-    for n in range(1, 5):
-        for k in range(1, n + 1):
-            assert min_selective_size(n, k) <= len(greedy_selective(n, k).sets)
+    for n, k in SMALL:
+        assert min_selective_size(n, k) <= len(greedy_selective(n, k).sets)
 
 
 # ---------------------------------------------------------------------------
