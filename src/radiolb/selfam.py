@@ -8,9 +8,10 @@ Subsets of [n] and the relation "f selects Z" are int bitmasks: greedy and
 the exact search share one table (`_selections`) mapping each f to the mask
 of the targets it selects. Scans that need a canonical order (witnesses,
 searches) visit subsets in ascending bitmask order, deterministic and total.
-`is_selective`'s scan over Z and the table's over f are one enumeration
-(`_grow`): each subset grows from the one without its top bit, carrying the
-mask of what it hits exactly once, in O(1) big-int operations per subset.
+Each subset grows from the one without its top bit, carrying the masks of
+the members that hit it exactly once and not at all. The table grows one
+subset at a time (`_grow`); `is_selective` grows all subsets of one size at
+once, packed side by side into a few big ints.
 """
 
 from __future__ import annotations
@@ -62,8 +63,11 @@ def _check_universe(n: int, k: int, cap: int) -> None:
 
 
 def _columns(sets, n: int) -> list[int]:
-    """For each element j < n, the mask of the indices i with j in sets[i]."""
-    return [sum(1 << i for i, s in enumerate(sets) if s >> j & 1) for j in range(n)]
+    """For each element j < n, the mask of the indices i with j in sets[i]:
+    the members as n-digit binary rows, the last on top, read by column.
+    Every member must be a subset of [n]."""
+    rows = zip(*(format(s, f"0{n}b") for s in reversed(sets)))
+    return [int("".join(col), 2) for col in rows][::-1] or [0] * n
 
 
 def _grow(cols: list[int], k: int, items: int):
@@ -100,11 +104,33 @@ def is_selective(fam: SetFamily, n: int, k: int) -> tuple[bool, int | None]:
     if fam.universe != n:
         raise ValueError(f"family universe {fam.universe} disagrees with n={n}")
     for mask in fam.sets:
+        if mask < 0:
+            raise ValueError(f"set mask {mask} is negative")
         if mask >> n:
             raise ValueError(f"set {mask_to_indices(mask)} outside universe [{n}]")
-    for z, once in _grow(_columns(fam.sets, n), k, (1 << len(fam.sets)) - 1):
-        if not once:
-            return False, z
+    f = len(fam.sets)
+    w = max(f, n) + 1  # chunk width: f member bits, or n subset bits, and a guard bit
+    # Level s packs every s-subset S with top bit below t in ascending order,
+    # one w-bit chunk per S, into four ints: a repunit, the S, the members
+    # hitting S exactly once and those missing it; then the level's width.
+    # Adding t grows every chunk by `_grow`'s recurrence at once.
+    levels = [(1, 0, 0, (1 << f) - 1, w)] + [(0, 0, 0, 0, 0)] * (k - 1)
+    for t, col in enumerate(_columns(fam.sets, n)):
+        unhit = []  # the first unhit S of each size, top bit t
+        for s in range(min(t, k - 1), -1, -1):  # grown S join level s + 1 after its turn
+            rep, subs, one, none, width = levels[s]
+            guard, has = rep << f, col * rep
+            out = guard - rep ^ has  # per chunk: the members without t, `has` those with it
+            subs, one, none = subs | rep << t, one & out | none & has, none & out
+            missing = guard & ~((one | guard) - rep)  # guard bits of chunks hit once by none
+            if missing:  # the lowest one sits f bits above its chunk's S
+                unhit.append(subs >> (missing & -missing).bit_length() - 1 - f & (1 << n) - 1)
+            if s + 1 < k:
+                rep2, subs2, one2, none2, at = levels[s + 1]
+                levels[s + 1] = (rep2 | rep << at, subs2 | subs << at, one2 | one << at,
+                                 none2 | none << at, at + width)
+        if unhit:
+            return False, min(unhit)
     return True, None
 
 

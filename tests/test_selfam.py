@@ -69,6 +69,34 @@ def test_is_selective_refuses_a_family_over_another_universe():
         is_selective(fam(4, {0}, {1, 4}), 4, 2)
 
 
+def test_is_selective_refuses_a_negative_member_by_its_mask():
+    with pytest.raises(ValueError, match=r"^set mask -1 is negative$"):
+        is_selective(SetFamily(4, (-1,)), 4, 2)
+    with pytest.raises(ValueError, match=r"^set mask -6 is negative$"):
+        is_selective(SetFamily(4, (0b11, -6)), 4, 4)
+
+
+def test_is_selective_stops_at_the_witness_block_in_little_memory():
+    # {0} is unhit, so no subset with a top bit above 0 is grown
+    tracemalloc.start()
+    try:
+        verdict = is_selective(SetFamily(16, tuple(1 << j for j in range(1, 16))), 16, 16)
+        early = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == (False, 1)
+    assert early < 10_000
+    # a full scan at the cap: all 2^16 - 1 subsets, packed, took about 0.7 MB
+    tracemalloc.start()
+    try:
+        verdict = is_selective(SetFamily(16, tuple(1 << j for j in range(16))), 16, 16)
+        full = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == (True, None)
+    assert full < 2_000_000
+
+
 # ---------------------------------------------------------------------------
 # Greedy construction
 # ---------------------------------------------------------------------------
@@ -184,6 +212,24 @@ def test_is_selective_matches_the_pair_scan_on_seeded_families():
             cases.append((n, k, sets))
     for n, k, sets in sorted(cases, key=lambda case: case[:2]):
         assert is_selective(SetFamily(n, sets), n, k) == pair_is_selective(sets, n, k), (n, k)
+
+
+def comprehension_columns(sets, n):
+    return [sum(1 << i for i, s in enumerate(sets) if s >> j & 1) for j in range(n)]
+
+
+def test_columns_match_the_comprehension():
+    for n in (1, 2, 3):
+        subsets = range(1 << n)
+        for bits in range(1 << len(subsets)):
+            sets = tuple(f for f in subsets if bits >> f & 1)
+            for order in (sets, sets[::-1]):
+                assert selfam._columns(order, n) == comprehension_columns(order, n), (n, order)
+    rng = random.Random(3)
+    for _ in range(500):
+        n = rng.randint(1, 16)
+        sets = tuple(rng.randrange(1 << n) for _ in range(rng.randint(0, 40)))
+        assert selfam._columns(sets, n) == comprehension_columns(sets, n), (n, sets)
 
 
 def test_selection_table_matches_the_pair_tests():
