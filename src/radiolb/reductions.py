@@ -29,18 +29,28 @@ process, fed one collapsed observation per round triple at its next act. A
 stage 2-4 middle node also has a column, one step per stage above 1, that
 rebuilds what the stage-1 source sent, round 0 included, from advice
 (stage 4), descriptors (stage 3) and echoes (stage 2); its stage-2 step,
-the source replica, records it. Leaves run their stage-1 selves.
+the source replica, keeps it. Leaves run their stage-1 selves.
 
 ``middle_tx`` is the one reader of a run on the source plus one component
 (``c2.component_net``): it yields the middle nodes' transmissions of each
 round 3j+1. Pruning and the Z-sweep read advised stage-4 runs with it, and
 stage 3 its component simulations, whose source replays a middle node's
-source column and in which an illegal transmission is suppressed. The one
-cache is each stage-3 protocol's set of simulations, at most one per
+source column and in which an illegal transmission is suppressed.
+
+There are no module-level caches; a protocol object keeps two records,
+shared by all its runs and dropped with it. Each stage 2-4 protocol
+records its middle nodes' column: they all hear the same source sub-round
+and nothing node-specific enters a column, so they share one chain of the
+observation of each round 3s and what the column made of it, written by
+the first node to get that far; only that node steps its own. A node
+whose observation differs from the record's (the same protocol on
+another network) leaves it for good and rebuilds its own column from
+round 0. The copies that ``to_pi3`` and ``to_pi4`` bind have one per
+run, ``pi4_with_advice`` one per advice, so a whole prune shares one.
+And each stage-3 protocol keeps its simulations, at most one per
 (component, tau): each records the echo it rebuilt after every prefix of
 its script, so a prefix it has played is answered from the record and a
-longer one by stepping on. The simulations are shared by all the
-protocol's runs and dropped with it.
+longer one by stepping on.
 """
 
 from __future__ import annotations
@@ -119,22 +129,32 @@ class _Phased:
     which the advice budget counts on: a stage-4 node reads advice entry s
     only at its act in round 3s+1, so a run that stops after round 3s needs
     no entry s.
+
+    The middle nodes of one protocol share its ``record`` of the column,
+    the (input, output) of each round 3s so far. A node whose input in
+    round 3s is entry s's takes its output; one that reaches the record's
+    end hands its own steps every input they have not taken, and appends
+    the last; one whose input differs leaves the record for good and
+    rebuilds its column from round 0, as ``_EchoSim`` does for another
+    network's script. A check that raises is not recorded, so every run
+    meets it at the same act.
     """
 
-    def __init__(self, base, layer: int, column: tuple = ()):
-        self.base, self.layer, self.column = base, layer, column
+    def __init__(self, base, layer: int, column: tuple = (), record: list | None = None):
+        self.base, self.layer, self.column, self.record = base, layer, column, record
         self.action = None  # the base action of the current triple
         self.got: list[Received] = []
         self.pending: list = []
+        self.seen: list = []  # the column's inputs, the observations of rounds 3s
+        self.fed = 0  # how many of them the column's own steps have taken
 
     def act(self, round: int):
         t, phase = divmod(round, 3)
         if phase != self.layer:
             return LISTEN
         for r, obs in enumerate(self.pending, round - len(self.pending)):
-            if r % 3 == 0:
-                for step in self.column:
-                    obs = step(r // 3, obs)
+            if r % 3 == 0 and self.column:
+                obs = self._said(r // 3, obs)
             if isinstance(obs, Received):
                 self.got.append(obs)
             if r % 3 == 2:
@@ -147,6 +167,24 @@ class _Phased:
 
     def observe(self, obs) -> None:
         self.pending.append(obs)
+
+    def _said(self, s: int, obs):
+        """The column's output for round 3s: the record's entry s if its
+        input is ``obs``, else the own steps' output after they have taken
+        every earlier input, which extends the record if it ends at s."""
+        self.seen.append(obs)
+        if self.record is not None and s < len(self.record):
+            if self.record[s][0] == obs:
+                return self.record[s][1]
+            self.record = None  # another network's column: rebuild from round 0
+        for i in range(self.fed, s + 1):
+            out = self.seen[i]
+            for step in self.column:
+                out = step(i, out)
+        self.fed = s + 1
+        if self.record is not None:
+            self.record.append((obs, out))
+        return out
 
 
 def to_pi1(p0: Protocol, params: C2Params) -> Protocol:
@@ -175,7 +213,7 @@ def middle_tx(net: Network, proto: Protocol, rounds=math.inf, **run):
 
 
 # ---------------------------------------------------------------------------
-# Stages 2-4: the source's column, rebuilt by each middle node
+# Stages 2-4: the source's column, rebuilt by the middle nodes
 # ---------------------------------------------------------------------------
 
 class _Source:
@@ -202,10 +240,11 @@ class _Source:
 def _staged(inner: Protocol, stage: StageTag, source, step, setup=None) -> Protocol:
     """A stage 2-4 protocol over ``inner``: ``source()`` builds the source's
     node, a middle node is its previous-stage self with ``step(*column)``
-    put in front of its column, and a leaf is its previous-stage self. That
+    put in front of its column and this protocol's one column record, and
+    a leaf is its previous-stage self. That
     self comes from ``inner.node``: pruning's stage 4 runs over an unbound
     stage 3, and only a source needs binding (``source`` is None until then)."""
-    params = inner.params
+    params, record = inner.params, []
 
     def node(own, neighbors):
         lay = layer_of(own, params)
@@ -214,7 +253,7 @@ def _staged(inner: Protocol, stage: StageTag, source, step, setup=None) -> Proto
         me = inner.node(own, neighbors)
         if lay == 2:
             return me
-        return _Phased(me.base, 1, (step(*me.column), *me.column))
+        return _Phased(me.base, 1, (step(*me.column), *me.column), record)
 
     return Protocol(f"{stage.value}[{inner.name}]", None, setup=setup, stage=stage,
                     params=params, node=node)
@@ -226,20 +265,23 @@ def _staged(inner: Protocol, stage: StageTag, source, step, setup=None) -> Proto
 
 class _Echo:
     """Stage-2 column step: a replica of ``p1``'s source fed the echo
-    stream, and its node's one record of the stage-1 source's column:
-    ``said[s]`` is its message in round 3s (None for silence), round 0
-    included. The echo of round 3s tells what the source received in round
-    3s-2; its other sub-rounds are necessarily phi (no neighbor of the
-    source transmits there)."""
+    stream, and the stage-1 source's column as its node's own steps
+    rebuilt it: ``said[s]`` is its message in round 3s (None for silence),
+    round 0 included. The echo of round 3s tells what the source received
+    in round 3s-2; its other sub-rounds are necessarily phi (no neighbor of
+    the source transmits there). The replica is spawned at step 0, so a
+    node that reads only its protocol's record never builds one."""
 
     def __init__(self, p1: Protocol, labels: tuple):
-        self.p1, self.source, self.said = p1, spawn(p1, SOURCE, labels), []
+        self.p1, self.labels, self.said = p1, labels, []
 
     def __call__(self, s: int, obs):
         if s:
             echoed = Received(UNKNOWN_SENDER, obs.message) if isinstance(obs, Received) else PHI
             for seen in (PHI, echoed, PHI):
                 self.source.observe(seen)
+        else:
+            self.source = spawn(self.p1, SOURCE, self.labels)
         act = self.source.act(3 * s)
         self.said.append(act.message if isinstance(act, Transmit) else None)
         return PHI if self.said[-1] is None else Received(SOURCE, self.said[-1])

@@ -33,6 +33,7 @@ from radiolb import (
     StageTag,
     TopologyVector,
     Transmit,
+    analyze,
     build_c2,
     check_legality,
     completion_round,
@@ -44,6 +45,7 @@ from radiolb import (
     reductions,
     round_robin,
     run,
+    run_prune,
     selfam_driven,
     silent_l1,
     spawn,
@@ -304,6 +306,37 @@ def test_each_middle_node_builds_one_source_replica(monkeypatch, params22):
     assert len(built) == params22.m * params22.k
 
 
+
+@pytest.mark.parametrize("m,k,r", [(2, 2, 4), (2, 3, 5), (2, 4, 2)])
+def test_each_protocol_steps_one_source_replica_per_record(monkeypatch, m, k, r):
+    # The middle nodes of one staged protocol share one record of the
+    # stage-1 source's column, so a replica of that source is spawned only
+    # by the node that first needs an entry the record lacks: one per
+    # advised protocol in pruning (its own pass and event_sequence's), one
+    # more for analyze's Z-sweep, and one each for a stage-4 run and the
+    # stage-3 run that makes its advice. Every middle node still has its
+    # _Echo (above); it spawns its replica at its first step.
+    params = C2Params(m, k)
+    spawned = []
+    real_spawn = reductions.spawn
+
+    def counting_spawn(proto, own, neighbors):
+        if own == SOURCE and proto.stage is StageTag.PI1:
+            spawned.append(proto)
+        return real_spawn(proto, own, neighbors)
+
+    monkeypatch.setattr(reductions, "spawn", counting_spawn)
+    p0 = round_robin(params)
+    run_prune(transform_chain(p0, params, 3), r, params)
+    assert len(spawned) == 2
+    spawned.clear()
+    analyze(p0, r, params)
+    assert len(spawned) == 3
+    spawned.clear()
+    net = build_c2(params, TopologyVector(tuple(range(1, m + 1))))
+    run(net, transform_chain(p0, params, 4), 3 * r + 6)
+    assert len(spawned) == 2
+
 def test_component_simulation_suppresses_what_the_real_run_suppresses(params12):
     # The leaf's round-2 act is illegal: collect mode suppresses it. Stage
     # 3's simulation of component 0 must suppress it too, or its middle
@@ -472,6 +505,30 @@ def test_middle_node_without_advice_refuses_to_act(params22):
     with pytest.raises(ProtocolBindingError, match=r"^middle node saw no advice in round 0$"):
         node.act(1)
 
+
+
+def test_a_middle_node_off_the_record_still_refuses_missing_advice(params12):
+    # After a good run the protocol's record holds the round-0 payload with
+    # its advice. Node 2, not adjacent to the source here, observes phi in
+    # round 0: it leaves the record and its own column refuses to act.
+    p3 = transform_chain(round_robin(params12), params12, 3)
+    good = build_c2(params12, TopologyVector((3,)))
+    p4 = pi4_with_advice(p3, make_advice(p3, good, 4))
+    run(good, p4, 12)
+    net = Network(good.labels, [(SOURCE, 1), (1, 3), (2, 3)])
+    with pytest.raises(ProtocolBindingError, match=r"^middle node saw no advice in round 0$"):
+        run(net, p4, 12)
+
+
+def test_short_advice_is_refused_again_on_the_next_run(params22):
+    # A check that raises is not recorded: the second run reads entries 0
+    # and 1 from the record, and its own column raises at the same act.
+    p3 = transform_chain(round_robin(params22), params22, 3)
+    p4 = pi4_with_advice(p3, AdviceString((None,)))
+    net = build_c2(params22, TopologyVector((1, 1)))
+    for _ in range(2):
+        with pytest.raises(ProtocolBindingError, match=r"^advice has 1 entries, round 7 needs 2$"):
+            run(net, p4, 12)
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4])
 def test_staged_node_holds_its_base_self_directly(stage, params22):
