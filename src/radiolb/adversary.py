@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import core
+from . import core, selfam
 from .c2 import C2Params, TopologyVector, build_c2, component_net, enumerate_c2, l1_label, l2_label
 from .errors import (FreeComponentMissing, NonSourceRoundZero, SpontaneityViolation,
                      UniverseTooLarge, WitnessInconsistency)
 from .prune import run_prune
 from .protocols import Protocol, StageTag, silent_l1, spawn
 from .reductions import middle_tx, pi4_with_advice, require_stage, transform_chain
-from .selfam import SELECTIVITY_UNIVERSE_CAP, SetFamily, is_selective, mask_to_indices
+from .selfam import SELECTIVITY_UNIVERSE_CAP, SetFamily, mask_to_indices
 
 
 @dataclass
@@ -155,7 +155,8 @@ def analyze(p0: Protocol, r: int, params: C2Params) -> AdversaryOutcome:
         return AdversaryOutcome(_direct_scan(p0, r, params), None)
     p4 = pi4_with_advice(p3, pr.advice)
     df = derive_family(p4, pr.free_component, r, params)
-    selective, z = is_selective(df, params.k, params.k)
+    # called through the module, where a wrapper installed on selfam sees it
+    selective, z = selfam.is_selective(df, params.k, params.k)
     if selective:
         return AdversaryOutcome(None, df)
     w = Witness(pr.base_net.replace(pr.free_component, z), mask_to_indices(z), r, True)

@@ -37,20 +37,20 @@ round 3j+1. Pruning and the Z-sweep read advised stage-4 runs with it, and
 stage 3 its component simulations, whose source replays a middle node's
 source column and in which an illegal transmission is suppressed.
 
-There are no module-level caches; a protocol object keeps two records,
-shared by all its runs and dropped with it. Each stage 2-4 protocol
-records its middle nodes' column: they all hear the same source sub-round
-and nothing node-specific enters a column, so they share one chain of the
-observation of each round 3s and what the column made of it, written by
-the first node to get that far; only that node steps its own. A node
-whose observation differs from the record's (the same protocol on
-another network) leaves it for good and rebuilds its own column from
-round 0. The copies that ``to_pi3`` and ``to_pi4`` bind have one per
-run, ``pi4_with_advice`` one per advice, so a whole prune shares one.
-And each stage-3 protocol keeps its simulations, at most one per
-(component, tau): each records the echo it rebuilt after every prefix of
-its script, so a prefix it has played is answered from the record and a
-longer one by stepping on.
+There are no module-level caches. A bound stage 2-4 protocol keeps one
+record of its middle nodes' column, its output for each round 3s so far,
+written by the first node to get that far; only that node steps its own.
+The record lives exactly as long as the column's input is fixed. Only the
+source acts in sub-round 0 and every middle node is adjacent to it (one
+that is not is refused when it is spawned), so all of them hear the same
+round 3s, and nothing node-specific enters a column. ``to_pi2``,
+``to_pi3`` and ``to_pi4`` are unbound and bind a copy, and with it a
+record, per run; ``pi4_with_advice``'s source sends its advice in round
+0 and is silent afterwards, so it has one record per advice and a whole
+prune shares one. And each stage-3 protocol keeps its simulations, shared
+by all its runs, at most one per (component, tau): each records the echo
+it rebuilt after every prefix of its script, so a prefix it has played is
+answered from the record and a longer one by stepping on.
 """
 
 from __future__ import annotations
@@ -130,14 +130,12 @@ class _Phased:
     only at its act in round 3s+1, so a run that stops after round 3s needs
     no entry s.
 
-    The middle nodes of one protocol share its ``record`` of the column,
-    the (input, output) of each round 3s so far. A node whose input in
-    round 3s is entry s's takes its output; one that reaches the record's
-    end hands its own steps every input they have not taken, and appends
-    the last; one whose input differs leaves the record for good and
-    rebuilds its column from round 0, as ``_EchoSim`` does for another
-    network's script. A check that raises is not recorded, so every run
-    meets it at the same act.
+    The middle nodes of one bound protocol share its ``record`` of the
+    column, the output of each round 3s so far, since they all hear the
+    same round 3s. A node takes entry s where the record has it; at the
+    record's end it hands its own steps every input they have not taken,
+    and appends the last output. A check that raises is not recorded, so
+    every run meets it at the same act, with the same state.
     """
 
     def __init__(self, base, layer: int, column: tuple = (), record: list | None = None):
@@ -146,7 +144,6 @@ class _Phased:
         self.got: list[Received] = []
         self.pending: list = []
         self.seen: list = []  # the column's inputs, the observations of rounds 3s
-        self.fed = 0  # how many of them the column's own steps have taken
 
     def act(self, round: int):
         t, phase = divmod(round, 3)
@@ -169,21 +166,18 @@ class _Phased:
         self.pending.append(obs)
 
     def _said(self, s: int, obs):
-        """The column's output for round 3s: the record's entry s if its
-        input is ``obs``, else the own steps' output after they have taken
-        every earlier input, which extends the record if it ends at s."""
+        """The column's output for round 3s: the record's entry s, or, at
+        the record's end, the own steps' output once they have taken every
+        input up to ``obs``, which the record gains."""
         self.seen.append(obs)
-        if self.record is not None and s < len(self.record):
-            if self.record[s][0] == obs:
-                return self.record[s][1]
-            self.record = None  # another network's column: rebuild from round 0
-        for i in range(self.fed, s + 1):
+        if s < len(self.record):
+            return self.record[s]
+        # the _Echo, the last step, has said one message per input taken
+        for i in range(len(self.column[-1].said), s + 1):
             out = self.seen[i]
             for step in self.column:
                 out = step(i, out)
-        self.fed = s + 1
-        if self.record is not None:
-            self.record.append((obs, out))
+        self.record.append(out)
         return out
 
 
@@ -241,15 +235,19 @@ def _staged(inner: Protocol, stage: StageTag, source, step, setup=None) -> Proto
     """A stage 2-4 protocol over ``inner``: ``source()`` builds the source's
     node, a middle node is its previous-stage self with ``step(*column)``
     put in front of its column and this protocol's one column record, and
-    a leaf is its previous-stage self. That
-    self comes from ``inner.node``: pruning's stage 4 runs over an unbound
-    stage 3, and only a source needs binding (``source`` is None until then)."""
+    a leaf is its previous-stage self. That self comes from ``inner.node``:
+    each stage runs over the unbound protocol below it, and only a source
+    needs binding (``source`` is None until then). A middle node that is
+    not adjacent to the source is refused when it is spawned: it would
+    hear phi where the others hear the source."""
     params, record = inner.params, []
 
     def node(own, neighbors):
         lay = layer_of(own, params)
         if lay == 0:
             return source()
+        if lay == 1 and SOURCE not in neighbors:
+            raise ProtocolBindingError(f"middle node {own} is not adjacent to the source")
         me = inner.node(own, neighbors)
         if lay == 2:
             return me
@@ -270,7 +268,7 @@ class _Echo:
     round 0 included. The echo of round 3s tells what the source received
     in round 3s-2; its other sub-rounds are necessarily phi (no neighbor of
     the source transmits there). The replica is spawned at step 0, so a
-    node that reads only its protocol's record never builds one."""
+    node that reads only the record never builds one."""
 
     def __init__(self, p1: Protocol, labels: tuple):
         self.p1, self.labels, self.said = p1, labels, []
@@ -288,18 +286,19 @@ class _Echo:
 
 
 def to_pi2(p1: Protocol) -> Protocol:
-    """Make the source a pure repeater (stage 2). For a source that ignores
-    sender labels, middle and leaf columns match stage 1's on any network
-    over the c2 labels whose source is adjacent to exactly the middle layer."""
+    """Make the source a pure repeater (stage 2). The returned protocol is
+    unbound; ``setup`` returns a copy, with its own column record, for one
+    run. For a source that ignores sender labels, middle and leaf columns
+    match stage 1's on any network over the c2 labels whose source is
+    adjacent to exactly the middle layer."""
     require_stage(p1, StageTag.PI1, "to_pi2")
     params = p1.params
     all_l1 = tuple(range(1, params.m * params.k + 1))
-    return _staged(
-        p1, StageTag.PI2,
-        lambda: _Source(BroadcastPayload(PAYLOAD),
-                        lambda s, heard: heard.message if isinstance(heard, Received) else None),
-        lambda: _Echo(p1, all_l1),
-    )
+    source = partial(_Source, BroadcastPayload(PAYLOAD),
+                     lambda s, heard: heard.message if isinstance(heard, Received) else None)
+    echo = partial(_Echo, p1, all_l1)
+    return _staged(p1, StageTag.PI2, None, echo,
+                   lambda net, max_rounds: _staged(p1, StageTag.PI2, source, echo))
 
 
 # ---------------------------------------------------------------------------

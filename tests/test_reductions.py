@@ -507,17 +507,19 @@ def test_middle_node_without_advice_refuses_to_act(params22):
 
 
 
-def test_a_middle_node_off_the_record_still_refuses_missing_advice(params12):
-    # After a good run the protocol's record holds the round-0 payload with
-    # its advice. Node 2, not adjacent to the source here, observes phi in
-    # round 0: it leaves the record and its own column refuses to act.
-    p3 = transform_chain(round_robin(params12), params12, 3)
-    good = build_c2(params12, TopologyVector((3,)))
-    p4 = pi4_with_advice(p3, make_advice(p3, good, 4))
-    run(good, p4, 12)
-    net = Network(good.labels, [(SOURCE, 1), (1, 3), (2, 3)])
-    with pytest.raises(ProtocolBindingError, match=r"^middle node saw no advice in round 0$"):
-        run(net, p4, 12)
+@pytest.mark.parametrize("stage", [2, 3, 4])
+def test_a_middle_node_off_the_source_is_refused_at_spawn(stage, params22):
+    # Node 2 is reached only through its leaf, so it would hear phi where
+    # the other middle nodes hear the source in every round 3s: stages 2-4
+    # refuse it when the run spawns it. Stage 1 has no source column.
+    c2net = build_c2(params22, TopologyVector((3, 1)))
+    net = Network(c2net.labels, sorted(set(c2net.edges()) - {(SOURCE, 2)}), c2_params=params22,
+                  c2_taus=(3, 1))
+    p0 = round_robin(params22)
+    assert 2 not in run(net, transform_chain(p0, params22, 1), 12).informed
+    with pytest.raises(ProtocolBindingError,
+                       match=r"^middle node 2 is not adjacent to the source$"):
+        core.Execution(net, transform_chain(p0, params22, stage), 12)
 
 
 def test_short_advice_is_refused_again_on_the_next_run(params22):
@@ -529,6 +531,27 @@ def test_short_advice_is_refused_again_on_the_next_run(params22):
     for _ in range(2):
         with pytest.raises(ProtocolBindingError, match=r"^advice has 1 entries, round 7 needs 2$"):
             run(net, p4, 12)
+
+
+def test_a_step_that_raised_raises_again_with_the_same_state(params22):
+    # The source replica raises in base round 2, at node 1's act in round
+    # 7. The second run's node 1 reads entries 0 and 1 from the record and
+    # steps a replica of its own from round 0, which raises with the same
+    # history; one replica kept from the first run would have seen more.
+    rr = round_robin(params22)
+
+    def step(ctx):
+        if ctx.own_label == SOURCE and ctx.round == 2:
+            raise RuntimeError(f"source step saw {len(ctx.history)} observations")
+        return rr.step(ctx)
+
+    p3 = transform_chain(dataclasses.replace(rr, step=step), params22, 3)
+    p4 = pi4_with_advice(p3, AdviceString((None, None)))
+    net = build_c2(params22, TopologyVector((1, 1)))
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=r"^source step saw 2 observations$"):
+            run(net, p4, 12)
+
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4])
 def test_staged_node_holds_its_base_self_directly(stage, params22):
@@ -607,10 +630,11 @@ def test_to_pi1_refuses_a_base_protocol_for_another_family(params12, params22):
 
 def test_only_a_bound_protocol_spawns(params22):
     # spawn is the one place that refuses an unbound protocol: every node of
-    # an unbound stage 3 or stage 4, and a run whose setup does not bind
+    # an unbound stage 2, 3 or 4, and a run whose setup does not bind
     net = build_c2(params22, TopologyVector((1, 1)))
-    p3 = transform_chain(round_robin(params22), params22, 3)
-    for proto in (p3, to_pi4(p3)):
+    p2 = transform_chain(round_robin(params22), params22, 2)
+    p3 = to_pi3(p2)
+    for proto in (p2, p3, to_pi4(p3)):
         for x in sorted(net.labels):
             with pytest.raises(ProtocolBindingError, match=rf"^{re.escape(proto.name)} is unbound"):
                 spawn(proto, x, tuple(sorted(net.neighbors(x))))
