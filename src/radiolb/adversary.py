@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 from . import core, selfam
 from .c2 import C2Params, TopologyVector, build_c2, component_net, enumerate_c2, l1_label, l2_label
-from .errors import (FreeComponentMissing, NonSourceRoundZero, SpontaneityViolation,
-                     UniverseTooLarge, WitnessInconsistency)
+from .errors import (FreeComponentMissing, UniverseTooLarge, WitnessInconsistency,
+                     unheard_transmission)
 from .prune import run_prune
 from .protocols import Protocol, StageTag, silent_l1, spawn
 from .reductions import middle_tx, pi4_with_advice, require_stage, transform_chain
@@ -101,7 +101,7 @@ def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> SetFamil
             if t % 3 == 1 and len(masks) == t // 3:
                 masks.append(next(run))
             if isinstance(node.act(t), core.Transmit):  # it has not heard yet
-                raise SpontaneityViolation(leaf, t) if t else NonSourceRoundZero(leaf)
+                raise unheard_transmission(leaf, t)
             hit = masks[t // 3] & z if t % 3 == 1 else 0
             sets[t // 3] |= hit
             if hit.bit_count() == 1:

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NonSourceRoundZero, SpontaneityViolation, StageMismatch, UnknownLabel
+from .errors import StageMismatch, UnknownLabel, unheard_transmission
 
 SOURCE = 0
 
@@ -287,7 +287,7 @@ class Execution:
         for x in spoke:
             if x == SOURCE or x in self.heard:
                 continue
-            err = NonSourceRoundZero(x, 0) if t == 0 else SpontaneityViolation(x, t)
+            err = unheard_transmission(x, t)
             if self.collect_violations is None:
                 raise err
             self.collect_violations.append(err)

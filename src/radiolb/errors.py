@@ -40,6 +40,12 @@ class SpontaneityViolation(LegalityViolation):
         super().__init__(f"node {label} transmitted spontaneously in round {round}", label, round)
 
 
+def unheard_transmission(label: int, round: int) -> LegalityViolation:
+    """The violation of a node other than the source that transmits in
+    ``round`` before it has received any message."""
+    return SpontaneityViolation(label, round) if round else NonSourceRoundZero(label)
+
+
 class InvalidTau(RadioLBError):
     """A topology integer is outside the valid range [1, 2^k)."""
 

@@ -117,42 +117,33 @@ def check_legality(proto: Protocol, net: Network, max_rounds: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Reference protocols (test subjects and adversary prey)
+# Reference protocols (test subjects and adversary prey): transmission
+# schedules, all built by the one step function of ``_scheduled``
 # ---------------------------------------------------------------------------
 
-def _source_announce_only(ctx: ProtocolContext) -> Action | None:
-    """Shared source behavior: payload in round 0, then listen."""
-    if ctx.own_label == SOURCE:
-        return Transmit(BroadcastPayload(PAYLOAD)) if ctx.round == 0 else LISTEN
-    return None
+def _scheduled(name: str, params: C2Params, fires: Callable[[int, int], bool]) -> Protocol:
+    """A transmission schedule: the source sends the payload in round 0 and
+    listens afterwards; node ``own`` sends it in round t iff ``fires(own, t)``
+    and it has received the payload, and listens otherwise."""
+
+    def step(ctx: ProtocolContext) -> Action:
+        if ctx.own_label == SOURCE:
+            return Transmit(BroadcastPayload(PAYLOAD)) if ctx.round == 0 else LISTEN
+        if fires(ctx.own_label, ctx.round) and has_received_payload(ctx.history):
+            return Transmit(BroadcastPayload(PAYLOAD))
+        return LISTEN
+
+    return Protocol(name, step, params=params)
 
 
 def round_robin(params: C2Params) -> Protocol:
     """Middle node with label l transmits the payload at round l, once informed."""
-
-    def step(ctx: ProtocolContext) -> Action:
-        src = _source_announce_only(ctx)
-        if src is not None:
-            return src
-        if (
-            layer_of(ctx.own_label, params) == 1
-            and ctx.round == ctx.own_label
-            and has_received_payload(ctx.history)
-        ):
-            return Transmit(BroadcastPayload(PAYLOAD))
-        return LISTEN
-
-    return Protocol("round-robin", step, params=params)
+    return _scheduled("round-robin", params, lambda own, t: layer_of(own, params) == 1 and t == own)
 
 
 def silent_l1(params: C2Params) -> Protocol:
     """Nothing ever transmits except the source's round-0 announcement."""
-
-    def step(ctx: ProtocolContext) -> Action:
-        src = _source_announce_only(ctx)
-        return src if src is not None else LISTEN
-
-    return Protocol("silent", step, params=params)
+    return _scheduled("silent", params, lambda own, t: False)
 
 
 def selfam_driven(params: C2Params, fam: SetFamily) -> Protocol:
@@ -163,17 +154,11 @@ def selfam_driven(params: C2Params, fam: SetFamily) -> Protocol:
             f"family universe {fam.universe} does not match k={params.k}"
         )
 
-    def step(ctx: ProtocolContext) -> Action:
-        src = _source_announce_only(ctx)
-        if src is not None:
-            return src
-        if layer_of(ctx.own_label, params) == 1 and 1 <= ctx.round <= len(fam.sets):
-            j = l1_index(ctx.own_label, params)
-            if (fam.sets[ctx.round - 1] >> j) & 1 and has_received_payload(ctx.history):
-                return Transmit(BroadcastPayload(PAYLOAD))
-        return LISTEN
+    def fires(own: int, t: int):
+        return (layer_of(own, params) == 1 and 1 <= t <= len(fam.sets)
+                and (fam.sets[t - 1] >> l1_index(own, params)) & 1)
 
-    return Protocol("selfam", step, params=params)
+    return _scheduled("selfam", params, fires)
 
 
 REGISTRY = {
@@ -186,8 +171,6 @@ def get_protocol(name: str, params: C2Params) -> Protocol:
     """Resolve a CLI protocol name; 'selfam:<file>' loads a family file."""
     if name.startswith("selfam:"):
         return selfam_driven(params, read_family(name.split(":", 1)[1]))
-    try:
-        factory = REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown protocol {name!r}") from None
-    return factory(params)
+    if name not in REGISTRY:
+        raise KeyError(f"unknown protocol {name!r}")
+    return REGISTRY[name](params)

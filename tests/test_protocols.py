@@ -9,7 +9,10 @@ import pytest
 from radiolb import (
     LISTEN,
     PAYLOAD,
+    SOURCE,
     BroadcastPayload,
+    C2Params,
+    Network,
     Protocol,
     Received,
     SetFamily,
@@ -19,11 +22,15 @@ from radiolb import (
     check_legality,
     completion_round,
     enumerate_c2,
+    l1_index,
+    layer_of,
+    mask_to_indices,
     round_robin,
     run,
     selfam_driven,
+    silent_l1,
 )
-from radiolb.errors import IndexOutOfUniverse, NonSourceRoundZero, SpontaneityViolation
+from radiolb.errors import IndexOutOfUniverse, NonSourceRoundZero, SpontaneityViolation, UnknownLabel
 from radiolb.protocols import ProtocolContext, get_protocol
 
 MU = BroadcastPayload(PAYLOAD)
@@ -54,6 +61,44 @@ def test_uninformed_transmitter_is_reported(params12):
         return Transmit(MU) if ctx.own_label == 3 and ctx.round == 2 else LISTEN
 
     assert check_legality(Protocol("eager", step), net, 4) == [SpontaneityViolation(3, 2)]
+
+
+# ---------------------------------------------------------------------------
+# The reference schedules
+# ---------------------------------------------------------------------------
+
+def test_each_node_transmits_on_its_schedule_once_informed(params22):
+    fam = SetFamily(2, (1, 2, 3))
+    schedules = [  # (protocol, the rounds t in which middle node x may transmit)
+        (round_robin(params22), lambda x, t: t == x),
+        (selfam_driven(params22, fam),
+         lambda x, t: 1 <= t <= 3 and l1_index(x, params22) in mask_to_indices(fam.sets[t - 1])),
+        (silent_l1(params22), lambda x, t: False),
+    ]
+    for tv in enumerate_c2(params22):
+        net = build_c2(params22, tv)
+        for proto, scheduled in schedules:
+            trace = run(net, proto, 10)
+            for rec in trace.rounds:
+                t = rec.round
+                for x, act in rec.actions.items():
+                    if x == SOURCE:
+                        want = t == 0
+                    elif layer_of(x, params22) == 1:
+                        want = scheduled(x, t) and trace.informed.get(x, t) < t
+                    else:
+                        want = False
+                    assert isinstance(act, Transmit) == want, (proto.name, tv, x, t)
+
+
+def test_silent_alone_runs_where_the_labels_lie_outside_its_family():
+    # silent never asks for a node's layer; the others do at its first act
+    net, params = Network([0, 9], [(0, 9)]), C2Params(1, 1)
+    trace = run(net, silent_l1(params), 3)
+    assert (len(trace.rounds), trace.informed) == (3, {0: 0, 9: 0})
+    for proto in (round_robin(params), selfam_driven(params, SetFamily(1, (1,)))):
+        with pytest.raises(UnknownLabel, match=r"^label 9 outside \[0, 3\)$"):
+            run(net, proto, 3)
 
 
 # ---------------------------------------------------------------------------
