@@ -154,9 +154,9 @@ def selfam_driven(params: C2Params, fam: SetFamily) -> Protocol:
             f"family universe {fam.universe} does not match k={params.k}"
         )
 
-    def fires(own: int, t: int):
+    def fires(own: int, t: int) -> bool:
         return (layer_of(own, params) == 1 and 1 <= t <= len(fam.sets)
-                and (fam.sets[t - 1] >> l1_index(own, params)) & 1)
+                and (fam.sets[t - 1] >> l1_index(own, params)) & 1 == 1)
 
     return _scheduled("selfam", params, fires)
 

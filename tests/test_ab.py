@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
+import subprocess
+
+import pytest
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "ab.py"
 spec = importlib.util.spec_from_file_location("ab", TOOL)
@@ -40,3 +44,23 @@ def test_a_parent_spread_past_the_bound_is_unresolved():
 def test_ties_count_for_neither_side():
     s = ab.summarize(PARENT, list(PARENT), "lower", 0.25)
     assert (s["wins"], s["verdict"]) == (0, "within bound")
+
+
+def test_fewer_than_ten_pairs_are_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        ab.main(["parent", "change", "--workload", "pipeline", "--pairs", "9"])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("last, message", [
+    ({"correct": False, "failed": 0}, "error: here: correct=false\nwhy"),
+    ({"correct": True, "failed": 3}, "error: here: 3 failed operations\nwhy"),
+])
+def test_a_bad_run_stops_with_its_own_message(monkeypatch, last, message):
+    child = subprocess.CompletedProcess([], 0, stdout=json.dumps(last) + "\n", stderr="why")
+    monkeypatch.setattr(ab.subprocess, "run", lambda cmd, **kw: child)
+    with pytest.raises(SystemExit) as exc:
+        ab.run_once("here", {"command": ["python3", "perfbench/run.py"], "run_seconds": 58},
+                    "pipeline")
+    assert exc.value.code == message

@@ -1,15 +1,16 @@
 """Alternating A/B runs of the benchmark on two checkouts. Usage:
 
-    python3 tools/ab.py PARENT CHANGE --workload W [--pairs 10] [--seconds 58]
+    python3 tools/ab.py PARENT CHANGE --workload W [--pairs N]
 
-Each pair runs ``perfbench/run.py --workload W --seconds S --trace 0`` once
-in each checkout, as the working directory; which checkout runs first
-alternates from pair to pair. A run whose last line reports ``correct``
-false or any failed operation stops the tool with an error. It prints every
-run's end-to-end metrics, then per metric of ``BENCHMARK.json``: both
-medians, the change's wins out of all pairs (ties count for neither), the
-parent's spread, (Q3 - Q1) / median, and a verdict from the metric's
-``better`` and ``bound``:
+Each pair runs the ``command`` of ``BENCHMARK.json`` with ``--workload W
+--seconds S --trace 0``, S its ``run_seconds``, once in each checkout, as
+the working directory; which checkout runs first alternates from pair to
+pair. There are at least 10 pairs, so that a ``gain`` can be told. A run
+whose last line reports ``correct`` false or any failed operation stops the
+tool with an error. It prints every run's end-to-end metrics, then per
+metric of ``BENCHMARK.json``: both medians, the change's wins out of all
+pairs (ties count for neither), the parent's spread, (Q3 - Q1) / median,
+and a verdict from the metric's ``better`` and ``bound``:
 
 - ``gain``: the change wins at least 9 of 10 pairs, and its median is
   better than the parent's by more than the parent's quartile distance;
@@ -34,16 +35,18 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
-def run_once(checkout: str, workload: str, seconds: int) -> dict[str, float]:
+def run_once(checkout: str, bench: dict, workload: str) -> dict[str, float]:
     """One benchmark run in ``checkout``: its end-to-end metrics by name."""
-    cmd = ["python3", "perfbench/run.py", "--workload", workload,
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [*bench["command"], "--workload", workload,
+           "--seconds", str(bench["run_seconds"]), "--trace", "0"]
     child = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = child.stdout.strip().splitlines()
     if child.returncode != 0 or not lines:
         sys.exit(f"error: {checkout}: exit code {child.returncode}\n{child.stderr}")
     result = json.loads(lines[-1])
-    if not result["correct"] or result["failed"]:
+    if not result["correct"]:
+        sys.exit(f"error: {checkout}: correct=false\n{child.stderr}")
+    if result["failed"]:
         sys.exit(f"error: {checkout}: {result['failed']} failed operations\n{child.stderr}")
     return {name: m["value"] for name, m in result["metrics"].items()}
 
@@ -76,24 +79,23 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=58)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
-    specs = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
+    if args.pairs < 10:
+        parser.error("--pairs must be at least 10")
+    bench = json.loads(BENCHMARK.read_text(encoding="utf-8"))
 
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            metrics = run_once(getattr(args, side), args.workload, args.seconds)
+            metrics = run_once(getattr(args, side), bench, args.workload)
             runs[side].append(metrics)
             print(f"pair {i + 1} {side}: "
                   + " ".join(f"{k}={v:.6g}" for k, v in sorted(metrics.items())), flush=True)
 
     status = 0
     print(f"\n{'metric':<12} {'parent':>10} {'change':>10} {'wins':>6} {'spread':>7}  verdict")
-    for spec in specs:
+    for spec in bench["end_to_end"]:
         name = spec["name"]
         s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
                       spec["better"], spec["bound"])
