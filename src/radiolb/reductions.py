@@ -477,10 +477,6 @@ def transform_chain(p0: Protocol, params: C2Params, stage: int) -> Protocol:
     if not 1 <= stage <= 4:
         raise ValueError("stage must be in 1..4")
     proto = to_pi1(p0, params)
-    if stage >= 2:
-        proto = to_pi2(proto)
-    if stage >= 3:
-        proto = to_pi3(proto)
-    if stage == 4:
-        proto = to_pi4(proto)
+    for up in (to_pi2, to_pi3, to_pi4)[:stage - 1]:
+        proto = up(proto)
     return proto

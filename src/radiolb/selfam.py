@@ -7,7 +7,8 @@ is an F_j with |Z & F_j| = 1.
 Subsets of [n] and the relation "f selects Z" are int bitmasks: greedy and
 the exact search share one table (`_selections`) mapping each f to the mask
 of the targets it selects. Scans that need a canonical order (witnesses,
-searches) visit subsets in ascending bitmask order, deterministic and total.
+greedy's ties) visit subsets in ascending bitmask order, deterministic and
+total.
 Each subset grows from the one without its top bit, carrying the masks of
 the members that hit it exactly once and not at all. The table grows one
 subset at a time (`_grow`); `is_selective` grows all subsets of one size at
@@ -157,36 +158,27 @@ def greedy_selective(n: int, k: int) -> SetFamily:
 
 
 def min_selective_size(n: int, k: int) -> int:
-    """Exact minimum family size by iterative-deepening exhaustive search.
+    """Exact minimum family size by breadth-first search over selected targets.
 
-    Some member must select the first target not yet selected, so each
-    level branches only on the candidates that do. The first target is
-    {0}, and permuting 1..n-1 turns the member holding 0 into {0..s-1}, so
-    the root tries only those n candidates. A coverage bound prunes states
-    that cannot finish in the remaining depth, and a state refuted at one
-    depth is remembered across the deepening sizes.
+    Level s holds masks of the targets that s members select. Some
+    member must select the first target not yet selected, so each mask
+    grows only by the candidates that do, and each grown mask is kept once.
+    The first target is {0}, and permuting 1..n-1 turns the member holding
+    0 into {0..s-1}, so level 1 holds only those n masks. The answer is the
+    first level holding every target; growing stops as soon as it appears.
+    At (5,5) the search grows 423 masks (5 + 60 + 349 + 9).
     """
     _check_universe(n, k, MIN_SEARCH_UNIVERSE_CAP)
     full, sel = _selections(n, k)
-    best_single = max(m.bit_count() for m in sel.values())
     selecting = [[m for m in sel.values() if m >> i & 1] for i in range(full.bit_length())]
-    refuted: dict[int, int] = {}  # covered -> largest depth it cannot finish in
-
-    def covers(depth: int, covered: int) -> bool:
-        if covered == full:
-            return True
-        if (depth == 0 or refuted.get(covered, 0) >= depth
-                or (full ^ covered).bit_count() > depth * best_single):
-            return False
-        first = (~covered & (covered + 1)).bit_length() - 1
-        if any(covers(depth - 1, covered | m) for m in selecting[first]):
-            return True
-        refuted[covered] = depth
-        return False
-
-    size = 1
-    while not any(covers(size - 1, sel[(1 << s) - 1]) for s in range(1, n + 1)):
-        size += 1
+    covered, size = {sel[(1 << s) - 1] for s in range(1, n + 1)}, 1
+    while full not in covered:
+        size, grown = size + 1, set()
+        for c in covered:
+            grown.update(map(c.__or__, selecting[(~c & (c + 1)).bit_length() - 1]))
+            if full in grown:
+                break
+        covered = grown
     return size
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -313,3 +316,17 @@ def test_selfam_missing_options_are_usage_errors(argv, message, capsys):
         main(["selfam", *argv])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"radiolb: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, code, out, err_tail", [
+    (["selfam", "min", "--n", "5", "--k", "5"], 0, "5\n", []),
+    (["adversary", "--protocol", "round-robin", "--budget", "0", "--m", "1", "--k", "1"], 2, "",
+     ["radiolb: error: --budget must be >= 1, got 0"]),
+])
+def test_module_entry_point(argv, code, out, err_tail):
+    # `python -m radiolb` in a child process; err_tail is stderr's last line, if any
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run([sys.executable, "-m", "radiolb", *argv], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (child.returncode, child.stdout) == (code, out)
+    assert child.stderr.splitlines()[-1:] == err_tail

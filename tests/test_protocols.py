@@ -121,17 +121,6 @@ def test_round_robin_completions(params12):
     assert by_tau == {1: (2, 1), 2: (3, 2), 3: (2, 1)}
 
 
-def test_round_robin_post(params22):
-    net = build_c2(params22, TopologyVector((3, 3)))
-    trace = run(net, round_robin(params22), 6)
-    for rec in trace.rounds:
-        txs = sorted(x for x, a in rec.actions.items() if isinstance(a, Transmit))
-        if rec.round == 0:
-            assert txs == [0]
-        else:
-            assert txs == ([rec.round] if 1 <= rec.round <= 4 else [])
-
-
 # ---------------------------------------------------------------------------
 # selfam_driven
 # ---------------------------------------------------------------------------

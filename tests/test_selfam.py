@@ -343,16 +343,16 @@ def test_min_matches_the_combinations_search(n, k):
 
 
 def test_min_search_work_at_5_5():
-    # Recursive calls of the exact search at (5,5): 6,529. The combinations
-    # search made 30,746, and the target-branching search made 19,769
-    # without its memo of refuted states and 12,154 without the root's
-    # symmetry break.
-    calls = 0
+    # Masks the exact search grows at (5,5), one set.update each: 423
+    # (5 + 60 + 349 + 9). The bound fails a search without the root's
+    # symmetry break (764) or one that grows a level past the mask of
+    # every target (1,142).
+    grown = 0
 
     def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_name == "covers":
-            calls += 1
+        nonlocal grown
+        if event == "c_call" and arg.__name__ == "update" and isinstance(arg.__self__, set):
+            grown += 1
 
     sys.setprofile(count)
     try:
@@ -360,7 +360,7 @@ def test_min_search_work_at_5_5():
     finally:
         sys.setprofile(None)
     assert size == 5
-    assert 0 < calls <= 8_000
+    assert 0 < grown <= 500
 
 
 def test_min_universe_cap():
