@@ -61,7 +61,7 @@ def _check_sweep_cap(params: C2Params) -> None:
             f"Z-sweep over a universe of {params.k} exceeds cap {SELECTIVITY_UNIVERSE_CAP}")
 
 
-def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> SetFamily:
+def derive_family(p4: Protocol, free: int, r: int) -> SetFamily:
     """Read one advised stage-4 run of ``p4`` on the free component alone
     (``reductions.middle_tx``, all 3r rounds) under tau = 2^k - 1, its leaf
     held silent. Middle nodes are not adjacent to each other and the source
@@ -84,7 +84,8 @@ def derive_family(p4: Protocol, free: int, r: int, params: C2Params) -> SetFamil
     Raises ``UniverseTooLarge`` before simulating anything when k exceeds
     the sweep's cap.
     """
-    require_stage(p4, StageTag.PI4, "derive_family", params)
+    require_stage(p4, StageTag.PI4, "derive_family")
+    params = p4.params
     if free is None:
         raise FreeComponentMissing("no free component to vary")
     if r < 1:
@@ -148,13 +149,13 @@ def analyze(p0: Protocol, r: int, params: C2Params) -> AdversaryOutcome:
         raise ValueError("budget must be >= 1")
     _check_sweep_cap(params)
     p3 = transform_chain(p0, params, 3)
-    pr = run_prune(p3, r, params)
+    pr = run_prune(p3, r)
     if pr.free_component is None:
         # Every component is pinned: the descriptor pipeline has nothing
         # left to vary, so fall back to the direct exhaustive scan.
         return AdversaryOutcome(_direct_scan(p0, r, params), None)
     p4 = pi4_with_advice(p3, pr.advice)
-    df = derive_family(p4, pr.free_component, r, params)
+    df = derive_family(p4, pr.free_component, r)
     # called through the module, where a wrapper installed on selfam sees it
     selective, z = selfam.is_selective(df, params.k, params.k)
     if selective:

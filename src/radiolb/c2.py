@@ -112,6 +112,8 @@ def component_net(params: C2Params, i: int, tau: int) -> Network:
     """The source plus component i alone, under the family's labels: the
     network on which pruning, the Z-sweep and stage 3's echo simulations
     run one component (read by ``reductions.middle_tx``)."""
+    if not 0 <= i < params.m:
+        raise ValueError(f"component {i} outside [0, {params.m})")
     _check_tau(tau, params.k)
     edges = _component_edges(params, i, tau)
     return Network({x for edge in edges for x in edge}, edges, c2_params=params)

@@ -107,7 +107,7 @@ def _cmd_prune(args) -> int:
     params = C2Params(args.m, args.k)
     p0 = get_protocol(args.protocol, params)
     p3 = transform_chain(p0, params, 3)
-    pr = run_prune(p3, args.rounds, params)
+    pr = run_prune(p3, args.rounds)
     _emit(
         {
             "advice": pr.advice.encode(),

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import core
-from .c2 import C2Params, TopologyVector, build_c2, component_net, enumerate_c2
+from .c2 import TopologyVector, build_c2, component_net, enumerate_c2
 from .core import ComponentDesc, Network
 from .protocols import Protocol, StageTag
 from .reductions import AdviceString, c2_taus, middle_tx, pi4_with_advice, require_stage
@@ -75,9 +74,10 @@ def _event(tx: dict, tv: TopologyVector) -> Event:
     return COLLISION if len(hot) == 2 else Single(hot[0], tv.taus[hot[0]]) if hot else SILENT
 
 
-def _prune(p3: Protocol, vectors, r: int, params: C2Params):
-    """``run_prune``'s survivor rule on ``vectors``: the survivors, the events
-    and advice they share, and the smallest survivor's marks."""
+def _prune(p3: Protocol, vectors, r: int):
+    """``run_prune``'s survivor rule on ``vectors`` of ``p3``'s family: the
+    survivors, the events and advice they share, and the smallest survivor's
+    marks."""
     if r < 1:
         raise ValueError("r must be >= 1")
     survivors, events, entries, tables = list(vectors), [], [], []
@@ -86,7 +86,7 @@ def _prune(p3: Protocol, vectors, r: int, params: C2Params):
     p4 = pi4_with_advice(p3, AdviceString(entries))
     runs = {}  # (component, tau) -> its reader, carried forward
     for t in range(1, r):
-        runs = {key: runs.get(key) or middle_tx(component_net(params, *key), p4)
+        runs = {key: runs.get(key) or middle_tx(component_net(p3.params, *key), p4)
                 for key in sorted({(i, tau) for tv in survivors for i, tau in enumerate(tv.taus)})}
         tx = {key: next(run) for key, run in runs.items()}  # round 3t-2
         tables.append(tx)
@@ -104,12 +104,12 @@ def _prune(p3: Protocol, vectors, r: int, params: C2Params):
 def _one(p3: Protocol, net: Network, r: int, op: str):
     """Prune the one-vector family of a c2 network under its own family."""
     require_stage(p3, StageTag.PI3, op, net.c2_params)
-    return _prune(p3, [TopologyVector(c2_taus(net))], r, net.c2_params)
+    return _prune(p3, [TopologyVector(c2_taus(net))], r)
 
 
-def event_sequence(p3: Protocol, net: Network, r: int, params: C2Params) -> tuple[Event, ...]:
-    """Events at t = 1..r-1 on one c2 network of family ``params``."""
-    core.require_family("event_sequence", params, p3)
+def event_sequence(p3: Protocol, net: Network, r: int) -> tuple[Event, ...]:
+    """Events at t = 1..r-1 on one c2 network, under the network's own family,
+    which must be ``p3``'s."""
     return _one(p3, net, r, "event_sequence")[1]
 
 
@@ -117,11 +117,11 @@ def classify_event(p3: Protocol, net: Network, t: int) -> Event:
     """The event at source round 3t (from the middle-layer round 3t-2)."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return event_sequence(p3, net, t + 1, net.c2_params)[t - 1]
+    return event_sequence(p3, net, t + 1)[t - 1]
 
 
-def run_prune(p3: Protocol, r: int, params: C2Params) -> PruneResult:
-    """Filter the enumerated family down to one shared event sequence.
+def run_prune(p3: Protocol, r: int) -> PruneResult:
+    """Filter ``p3``'s enumerated family down to one shared event sequence.
 
     Per t: if any survivor shows a collision, keep exactly the collision
     networks; otherwise if any shows a single transmitter, fix the
@@ -129,12 +129,13 @@ def run_prune(p3: Protocol, r: int, params: C2Params) -> PruneResult:
     identical event; otherwise (all silent) keep everything. With r = 1 the
     whole family is returned untouched.
     """
-    require_stage(p3, StageTag.PI3, "run_prune", params)
-    survivors, _, advice, marked = _prune(p3, enumerate_c2(params), r, params)
+    require_stage(p3, StageTag.PI3, "run_prune")
+    params = p3.params
+    survivors, _, advice, marked = _prune(p3, enumerate_c2(params), r)
     base = min(survivors)
     free = next((i for i in range(params.m) if i not in marked), None)
     # the shared events, read through event_sequence so perfbench's tracing counts it
-    events = event_sequence(p3, build_c2(params, base), r, params)
+    events = event_sequence(p3, build_c2(params, base), r)
     return PruneResult(events, survivors, advice, base, marked, free)
 
 
@@ -148,13 +149,10 @@ def mark_components(p3: Protocol, base: Network, r: int) -> frozenset[int]:
     return _one(p3, base, r, "mark_components")[3]
 
 
-def membership(
-    p3: Protocol,
-    candidate: TopologyVector,
-    result: PruneResult,
-    params: C2Params,
-    r: int,
-) -> bool:
-    """Whether a network would survive pruning: its event sequence matches."""
-    seq = event_sequence(p3, build_c2(params, candidate), r, params)
+def membership(p3: Protocol, candidate: TopologyVector, result: PruneResult) -> bool:
+    """Whether a network of ``p3``'s family would survive the pruning that gave
+    ``result``: its event sequence over the same budget matches."""
+    # event_sequence's own refusal, made before the candidate is built
+    require_stage(p3, StageTag.PI3, "event_sequence")
+    seq = event_sequence(p3, build_c2(p3.params, candidate), len(result.event_seq) + 1)
     return seq == result.event_seq

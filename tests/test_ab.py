@@ -56,9 +56,13 @@ def test_fewer_than_ten_pairs_are_refused(capsys):
 @pytest.mark.parametrize("last, message", [
     ({"correct": False, "failed": 0}, "error: here: correct=false\nwhy"),
     ({"correct": True, "failed": 3}, "error: here: 3 failed operations\nwhy"),
+    # a string is the raw last line: not JSON, JSON of no object, an object without metrics
+    *((line, f"error: here: last line is not a result: {line}")
+      for line in ("Killed", "[1, 2]", '{"correct": true, "failed": 0}')),
 ])
 def test_a_bad_run_stops_with_its_own_message(monkeypatch, last, message):
-    child = subprocess.CompletedProcess([], 0, stdout=json.dumps(last) + "\n", stderr="why")
+    line = last if isinstance(last, str) else json.dumps(last)
+    child = subprocess.CompletedProcess([], 0, stdout=line + "\n", stderr="why")
     monkeypatch.setattr(ab.subprocess, "run", lambda cmd, **kw: child)
     with pytest.raises(SystemExit) as exc:
         ab.run_once("here", {"command": ["python3", "perfbench/run.py"], "run_seconds": 58},

@@ -159,7 +159,7 @@ def test_criterion_3_prune_uniformity_and_marking():
         for p0 in prey_protocols(params):
             p3 = to_pi3(to_pi2(to_pi1(p0, params)))
             for r in (2, 3, 4):
-                pr = run_prune(p3, r, params)
+                pr = run_prune(p3, r)
                 if len(pr.marked) > 2 * (r - 1):
                     violations.append(f"{p0.name}/{params}/r={r}: marked too large")
                 survivors = set(pr.survivors)
@@ -177,7 +177,7 @@ def test_criterion_3_prune_uniformity_and_marking():
                             f"{p0.name}/{params}/r={r}: {tv.taus} agrees on marked "
                             "components but was pruned"
                         )
-                    if agrees and not membership(p3, tv, pr, params, r):
+                    if agrees and not membership(p3, tv, pr):
                         violations.append(
                             f"{p0.name}/{params}/r={r}: membership rejects {tv.taus}"
                         )

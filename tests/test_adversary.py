@@ -10,7 +10,6 @@ import weakref
 import pytest
 
 from radiolb import (
-    AdviceString,
     C2Params,
     Protocol,
     Received,
@@ -29,7 +28,6 @@ from radiolb import (
     find_witness,
     is_selective,
     mark_components,
-    membership,
     pi4_with_advice,
     round_robin,
     run,
@@ -74,8 +72,8 @@ def singletons(params):
 def test_silent_derives_an_empty_family(params22):
     p0 = silent_l1(params22)
     p3 = pi3_of(p0, params22)
-    pr = run_prune(p3, 2, params22)
-    df = derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, 2, params22)
+    pr = run_prune(p3, 2)
+    df = derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, 2)
     assert all(f == 0 for f in df.sets)
     assert is_selective(df, 2, 2) == (False, 1)
 
@@ -83,9 +81,9 @@ def test_silent_derives_an_empty_family(params22):
 def test_singletons_recover_their_structure(params22):
     p0 = singletons(params22)
     p3 = pi3_of(p0, params22)
-    pr = run_prune(p3, 2, params22)
+    pr = run_prune(p3, 2)
     assert pr.free_component == 0
-    df = derive_family(pi4_with_advice(p3, pr.advice), 0, 2, params22)
+    df = derive_family(pi4_with_advice(p3, pr.advice), 0, 2)
     # within budget 2 only base round 1 fires: index 0 of the free component
     assert df == SetFamily(2, (0, 0b01))
     assert is_selective(df, 2, 2) == (False, 0b10)
@@ -94,10 +92,10 @@ def test_singletons_recover_their_structure(params22):
 def test_derive_family_requires_free_component(params22):
     p0 = singletons(params22)
     p3 = pi3_of(p0, params22)
-    pr = run_prune(p3, 4, params22)
+    pr = run_prune(p3, 4)
     assert pr.free_component is None
     with pytest.raises(FreeComponentMissing):
-        derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, 4, params22)
+        derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, 4)
 
 
 class Simulated(Exception):
@@ -120,7 +118,7 @@ def test_z_sweep_fails_fast_above_the_universe_cap(k):
     params = C2Params(1, k)
     expected = UniverseTooLarge if k > SELECTIVITY_UNIVERSE_CAP else Simulated
     with pytest.raises(expected):
-        derive_family(unrunnable(params), 0, 1, params)
+        derive_family(unrunnable(params), 0, 1)
 
 
 def test_success_table_matches_family_selection(params22):
@@ -131,11 +129,11 @@ def test_success_table_matches_family_selection(params22):
     for p0 in (round_robin(params22), singletons(params22), silent_l1(params22)):
         p3 = pi3_of(p0, params22)
         for r in (2, 3, 4):
-            pr = run_prune(p3, r, params22)
+            pr = run_prune(p3, r)
             if pr.free_component is None:
                 continue
             p4 = pi4_with_advice(p3, pr.advice)
-            df = derive_family(p4, pr.free_component, r, params22)
+            df = derive_family(p4, pr.free_component, r)
             leaf = l2_label(params22, pr.free_component)
             unheard = []
             for z in range(1, 1 << params22.k):
@@ -150,23 +148,18 @@ def test_success_table_matches_family_selection(params22):
 
 
 @pytest.mark.parametrize("other", [C2Params(2, 3), C2Params(1, 2)])
-@pytest.mark.parametrize("op", ["run_prune", "event_sequence", "classify_event",
-                                "mark_components", "membership", "derive_family", "analyze"])
+@pytest.mark.parametrize("op", ["event_sequence", "classify_event", "mark_components", "analyze"])
 def test_family_parameters_other_than_the_protocols_are_refused(op, other, params22):
     # A protocol built for (2,2) used on another family is refused at entry,
     # naming both parameter sets, instead of failing deep inside a run (an
     # unknown label, a round 0 without advice) or answering for (2,2).
     p0 = round_robin(params22)
     p3 = pi3_of(p0, params22)
-    tv = TopologyVector((1,) * other.m)
-    net = build_c2(other, tv)
+    net = build_c2(other, TopologyVector((1,) * other.m))
     call = {
-        "run_prune": lambda: run_prune(p3, 3, other),
-        "event_sequence": lambda: event_sequence(p3, net, 3, other),
+        "event_sequence": lambda: event_sequence(p3, net, 3),
         "classify_event": lambda: classify_event(p3, net, 1),
         "mark_components": lambda: mark_components(p3, net, 3),
-        "membership": lambda: membership(p3, tv, run_prune(p3, 3, params22), other, 3),
-        "derive_family": lambda: derive_family(pi4_with_advice(p3, AdviceString(())), 0, 2, other),
         "analyze": lambda: analyze(p0, 3, other),
     }[op]
     with pytest.raises(StageMismatch, match=re.escape(f"on family {other} got a protocol for {params22}")):
@@ -209,7 +202,7 @@ def test_witness_varies_only_the_free_component(params22):
     p0 = round_robin(params22)
     p3 = pi3_of(p0, params22)
     for budget in (2, 3, 4):
-        pr = run_prune(p3, budget, params22)
+        pr = run_prune(p3, budget)
         w = find_witness(p0, budget, params22)
         if w is None or pr.free_component is None:
             continue
@@ -325,7 +318,7 @@ def test_analyze_refuses_a_middle_node_sending_in_round_zero():
     for params in (C2Params(1, 2), C2Params(2, 2)):
         p0 = round_zero_middle_prey(params)
         for budget in range(1, 5):
-            fallbacks.add(run_prune(pi3_of(p0, params), budget, params).free_component is None)
+            fallbacks.add(run_prune(pi3_of(p0, params), budget).free_component is None)
             with pytest.raises(NonSourceRoundZero,
                                match=r"^node 1 transmitted in round 0 but is not the source$"):
                 analyze(p0, budget, params)

@@ -124,7 +124,7 @@ def test_carried_prune_matches_restarting_reference(m, k):
         # separate stage-3 protocols: neither routine reads the other's echoes
         p3, ref3 = transform_chain(p0, params, 3), transform_chain(p0, params, 3)
         for r in range(1, 7):
-            got = outcome(lambda: _prune(p3, family, r, params))
+            got = outcome(lambda: _prune(p3, family, r))
             want = outcome(lambda: restart_prune(ref3, family, r, params))
             # a violation must be of the same kind, on the same node, in the same round
             assert got == want and str(got) == str(want), (p0.name, r)
@@ -140,7 +140,7 @@ def test_illegal_prey_fails_on_a_surviving_component():
     family = list(enumerate_c2(params))
     want = SpontaneityViolation(6, 5)
     assert outcome(lambda: restart_prune(p3, family, 4, params)) == want
-    assert outcome(lambda: _prune(p3, family, 4, params)) == want
+    assert outcome(lambda: _prune(p3, family, 4)) == want
 
 
 def recorded_nets(monkeypatch, module):
@@ -172,7 +172,7 @@ def test_pruning_steps_each_component_run_once(monkeypatch, r):
     for p0 in (round_robin(params), cyclic_prey(params), hash_prey(params, 0)):
         rounds.clear()
         p3 = transform_chain(p0, params, 3)
-        _prune(p3, enumerate_c2(params), r, params)
+        _prune(p3, enumerate_c2(params), r)
         assert rounds and max(rounds.values()) <= 3 * r - 4, (p0.name, rounds)
 
 
@@ -186,9 +186,9 @@ def test_z_sweep_plays_every_round_of_its_one_run(monkeypatch, r):
     params = C2Params(2, 3)
     rounds = recorded_nets(monkeypatch, adversary)
     p3 = transform_chain(hash_prey(params, 0), params, 3)
-    pr = run_prune(p3, r, params)
+    pr = run_prune(p3, r)
     rounds.clear()
-    derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, r, params)
+    derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, r)
     assert rounds == {(pr.free_component, (1 << params.k) - 1): 3 * r}
 
 

@@ -27,6 +27,7 @@ from radiolb import (
     Received,
     SetFamily,
     Single,
+    TopologyVector,
     Transmit,
     build_c2,
     core,
@@ -197,11 +198,11 @@ def test_z_sweep_matches_per_variant_scan(m, k):
         # separate stage-3 protocols: neither sweep reads the other's echoes
         p3, ref3 = transform_chain(p0, params, 3), transform_chain(p0, params, 3)
         for r in range(1, 6):
-            pr = outcome(lambda: run_prune(p3, r, params))
+            pr = outcome(lambda: run_prune(p3, r))
             # where pruning itself fails (an illegal prey), sweep under all-phi advice
             advice = pr.advice if isinstance(pr, PruneResult) else AdviceString((None,) * (r - 1))
             for free in range(m):
-                got = outcome(lambda: derive_family(pi4_with_advice(p3, advice), free, r, params))
+                got = outcome(lambda: derive_family(pi4_with_advice(p3, advice), free, r))
                 want = outcome(lambda: scan_derive_family(
                     pi4_with_advice(ref3, advice), free, r, params))
                 if isinstance(want, tuple):
@@ -224,7 +225,7 @@ def test_z_sweep_keeps_the_per_variant_error_order():
     short = AdviceString((None,))
     p3, ref3 = (transform_chain(counting_leaf_prey(params), params, 3) for _ in range(2))
     for free, error in [(0, ProtocolBindingError), (1, SpontaneityViolation)]:
-        got = outcome(lambda: derive_family(pi4_with_advice(p3, short), free, 3, params),
+        got = outcome(lambda: derive_family(pi4_with_advice(p3, short), free, 3),
                       RadioLBError)
         want = outcome(lambda: scan_derive_family(pi4_with_advice(ref3, short), free, 3, params),
                        RadioLBError)
@@ -255,7 +256,7 @@ def test_z_sweep_plays_a_leaf_round_before_the_next_shared_round():
         leaf = l2_label(params, free)
         early = dataclasses.replace(p4, node=lambda own, nbrs: (
             EarlyLeaf(spawn(p4, own, nbrs), 6) if own == leaf else spawn(p4, own, nbrs)))
-        got = outcome(lambda: derive_family(early, free, 3, params), RadioLBError)
+        got = outcome(lambda: derive_family(early, free, 3), RadioLBError)
         want = outcome(lambda: scan_derive_family(early, free, 3, params), RadioLBError)
         assert (type(got), str(got)) == (type(want), str(want)) == (
             SpontaneityViolation, f"node {leaf} transmitted spontaneously in round 6"), free
@@ -268,16 +269,16 @@ def test_component_analysis_matches_whole_networks(m, k):
     for p0 in protocols(params):
         p3 = transform_chain(p0, params, 3)
         for r in budgets:
-            pr = run_prune(p3, r, params)
+            pr = run_prune(p3, r)
             assert pr == whole_prune(p3, r, params), (p0.name, r)
             for tv in enumerate_c2(params):
                 net = build_c2(params, tv)
                 decisive = whole_decisive(p3, net, r, params)
-                assert event_sequence(p3, net, r, params) == whole_events(decisive, tv.taus, params)
+                assert event_sequence(p3, net, r) == whole_events(decisive, tv.taus, params)
                 assert mark_components(p3, net, r) == whole_marks(decisive, params)
             p4 = pi4_with_advice(p3, pr.advice)
             for free in range(m):
-                got = derive_family(p4, free, r, params)
+                got = derive_family(p4, free, r)
                 want, first_heard = whole_derive_family(p4, pr, free, r, params)
                 assert got == want, (p0.name, r, free)
                 assert_selection_predicts_hearing(got, first_heard)
@@ -287,7 +288,7 @@ def test_event_sequence_needs_a_c2_network(params12):
     p3 = transform_chain(round_robin(params12), params12, 3)
     net = Network(range(4), [(0, 1), (0, 2), (1, 3)])  # c2:m=1,k=2,taus=1 without its tag
     with pytest.raises(ProtocolBindingError):
-        event_sequence(p3, net, 3, params12)
+        event_sequence(p3, net, 3)
 
 
 def test_stage_three_runs_only_on_c2_networks(params22):
@@ -295,6 +296,22 @@ def test_stage_three_runs_only_on_c2_networks(params22):
     p3 = transform_chain(round_robin(params22), params22, 3)
     with pytest.raises(ProtocolBindingError, match=r"^stage-3 protocols run only on c2 networks$"):
         core.run(component_net(params22, 0, 1), p3, 7)
+
+
+@pytest.mark.parametrize("entry, i", [("component_net", 2), ("derive_family", 3),
+                                      ("stage-4 run", 2)])
+def test_a_component_outside_the_family_is_refused(entry, i, params22):
+    # (2,2) has components 0 and 1; component 2's labels would be the leaves'
+    p3 = transform_chain(round_robin(params22), params22, 3)
+    call = {
+        "component_net": lambda: component_net(params22, i, 1),
+        "derive_family": lambda: derive_family(pi4_with_advice(p3, AdviceString(())), i, 3),
+        "stage-4 run": lambda: core.run(
+            build_c2(params22, TopologyVector((1, 1))),
+            pi4_with_advice(p3, AdviceString((ComponentDesc(i, 1), None, None))), 9),
+    }[entry]
+    with pytest.raises(ValueError, match=rf"^component {i} outside \[0, 2\)$"):
+        call()
 
 
 def test_analysis_runs_only_single_components(monkeypatch):
@@ -310,10 +327,10 @@ def test_analysis_runs_only_single_components(monkeypatch):
     for p0 in (round_robin(params), leaf_ack_prey(params)):
         p3 = transform_chain(p0, params, 3)
         before = len(stepped)
-        pr = run_prune(p3, 4, params)
+        pr = run_prune(p3, 4)
         assert len(stepped) > before  # prune's own runs are recorded
         assert pr.free_component is not None
         before = len(stepped)
-        derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, 4, params)
+        derive_family(pi4_with_advice(p3, pr.advice), pr.free_component, 4)
         assert len(stepped) - before == 1  # one run serves every Z
     assert set(stepped) == {params.k + 2}

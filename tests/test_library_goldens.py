@@ -94,7 +94,7 @@ def _trace(net, proto, rounds, collect: bool):
 
 
 def _prune_fields(p3, r, params):
-    pr = run_prune(p3, r, params)
+    pr = run_prune(p3, r)
     return {
         "advice": pr.advice.encode(),
         "base": encode_c2(params, pr.base_net),

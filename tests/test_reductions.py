@@ -327,7 +327,7 @@ def test_each_protocol_steps_one_source_replica_per_record(monkeypatch, m, k, r)
 
     monkeypatch.setattr(reductions, "spawn", counting_spawn)
     p0 = round_robin(params)
-    run_prune(transform_chain(p0, params, 3), r, params)
+    run_prune(transform_chain(p0, params, 3), r)
     assert len(spawned) == 2
     spawned.clear()
     analyze(p0, r, params)

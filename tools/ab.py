@@ -6,11 +6,12 @@ Each pair runs the ``command`` of ``BENCHMARK.json`` with ``--workload W
 --seconds S --trace 0``, S its ``run_seconds``, once in each checkout, as
 the working directory; which checkout runs first alternates from pair to
 pair. There are at least 10 pairs, so that a ``gain`` can be told. A run
-whose last line reports ``correct`` false or any failed operation stops the
-tool with an error. It prints every run's end-to-end metrics, then per
-metric of ``BENCHMARK.json``: both medians, the change's wins out of all
-pairs (ties count for neither), the parent's spread, (Q3 - Q1) / median,
-and a verdict from the metric's ``better`` and ``bound``:
+whose last line is not a result object, or reports ``correct`` false or
+any failed operation, stops the tool with an error. It prints every run's
+end-to-end metrics, then per metric of ``BENCHMARK.json``: both medians,
+the change's wins out of all pairs (ties count for neither), the parent's
+spread, (Q3 - Q1) / median, and a verdict from the metric's ``better`` and
+``bound``:
 
 - ``gain``: the change wins at least 9 of 10 pairs, and its median is
   better than the parent's by more than the parent's quartile distance;
@@ -43,12 +44,15 @@ def run_once(checkout: str, bench: dict, workload: str) -> dict[str, float]:
     lines = child.stdout.strip().splitlines()
     if child.returncode != 0 or not lines:
         sys.exit(f"error: {checkout}: exit code {child.returncode}\n{child.stderr}")
-    result = json.loads(lines[-1])
-    if not result["correct"]:
-        sys.exit(f"error: {checkout}: correct=false\n{child.stderr}")
-    if result["failed"]:
-        sys.exit(f"error: {checkout}: {result['failed']} failed operations\n{child.stderr}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    try:
+        result = json.loads(lines[-1])
+        if not result["correct"]:
+            sys.exit(f"error: {checkout}: correct=false\n{child.stderr}")
+        if result["failed"]:
+            sys.exit(f"error: {checkout}: {result['failed']} failed operations\n{child.stderr}")
+        return {name: m["value"] for name, m in result["metrics"].items()}
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError):  # not a result object
+        sys.exit(f"error: {checkout}: last line is not a result: {lines[-1]}")
 
 
 def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
