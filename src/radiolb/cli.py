@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a protocol on one network")
-    p.add_argument("--net", required=True, help="c2:... encoding or a file of encodings")
+    p.add_argument("--net", required=True, help="c2:... encoding or file (first encoding only)")
     p.add_argument("--protocol", required=True)
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--trace", help="write the round trace to this file")
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="run a staged transform of a protocol")
     p.add_argument("--protocol", required=True)
     p.add_argument("--stage", type=int, choices=[1, 2, 3, 4], required=True)
-    p.add_argument("--net", required=True)
+    p.add_argument("--net", required=True, help="c2:... encoding or file (first encoding only)")
     p.add_argument("--rounds", type=int, required=True)
     p.set_defaults(func=_cmd_transform)
 

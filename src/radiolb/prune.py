@@ -23,7 +23,7 @@ guaranteed to be a survivor, so any unmarked component is free to vary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .c2 import TopologyVector, build_c2, component_net, enumerate_c2
 from .core import ComponentDesc, Network
@@ -74,10 +74,10 @@ def _event(tx: dict, tv: TopologyVector) -> Event:
     return COLLISION if len(hot) == 2 else Single(hot[0], tv.taus[hot[0]]) if hot else SILENT
 
 
-def _prune(p3: Protocol, vectors, r: int):
+def _prune(p3: Protocol, vectors, r: int) -> PruneResult:
     """``run_prune``'s survivor rule on ``vectors`` of ``p3``'s family: the
-    survivors, the events and advice they share, and the smallest survivor's
-    marks."""
+    survivors, the events and advice they share, the smallest survivor and
+    its marks, and the first unmarked component."""
     if r < 1:
         raise ValueError("r must be >= 1")
     survivors, events, entries, tables = list(vectors), [], [], []
@@ -98,10 +98,11 @@ def _prune(p3: Protocol, vectors, r: int):
         entries.append(ComponentDesc(e.component, e.tau) if isinstance(e, Single) else None)
     base = min(survivors)
     marked = frozenset(i for tx in tables for i in _first_two(tx, base))
-    return survivors, tuple(events), AdviceString(tuple(entries)), marked
+    free = next((i for i in range(p3.params.m) if i not in marked), None)
+    return PruneResult(tuple(events), survivors, AdviceString(tuple(entries)), base, marked, free)
 
 
-def _one(p3: Protocol, net: Network, r: int, op: str):
+def _one(p3: Protocol, net: Network, r: int, op: str) -> PruneResult:
     """Prune the one-vector family of a c2 network under its own family."""
     require_stage(p3, StageTag.PI3, op, net.c2_params)
     return _prune(p3, [TopologyVector(c2_taus(net))], r)
@@ -110,14 +111,7 @@ def _one(p3: Protocol, net: Network, r: int, op: str):
 def event_sequence(p3: Protocol, net: Network, r: int) -> tuple[Event, ...]:
     """Events at t = 1..r-1 on one c2 network, under the network's own family,
     which must be ``p3``'s."""
-    return _one(p3, net, r, "event_sequence")[1]
-
-
-def classify_event(p3: Protocol, net: Network, t: int) -> Event:
-    """The event at source round 3t (from the middle-layer round 3t-2)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return event_sequence(p3, net, t + 1)[t - 1]
+    return _one(p3, net, r, "event_sequence").event_seq
 
 
 def run_prune(p3: Protocol, r: int) -> PruneResult:
@@ -130,13 +124,9 @@ def run_prune(p3: Protocol, r: int) -> PruneResult:
     whole family is returned untouched.
     """
     require_stage(p3, StageTag.PI3, "run_prune")
-    params = p3.params
-    survivors, _, advice, marked = _prune(p3, enumerate_c2(params), r)
-    base = min(survivors)
-    free = next((i for i in range(params.m) if i not in marked), None)
-    # the shared events, read through event_sequence so perfbench's tracing counts it
-    events = event_sequence(p3, build_c2(params, base), r)
-    return PruneResult(events, survivors, advice, base, marked, free)
+    pr = _prune(p3, enumerate_c2(p3.params), r)
+    # the shared events, read again through event_sequence so perfbench's tracing counts it
+    return replace(pr, event_seq=event_sequence(p3, build_c2(p3.params, pr.base_net), r))
 
 
 def mark_components(p3: Protocol, base: Network, r: int) -> frozenset[int]:
@@ -146,7 +136,7 @@ def mark_components(p3: Protocol, base: Network, r: int) -> frozenset[int]:
     collision marks the components of the two transmitting nodes with the
     smallest labels (any fixed pair works, so take the canonical one).
     """
-    return _one(p3, base, r, "mark_components")[3]
+    return _one(p3, base, r, "mark_components").marked
 
 
 def membership(p3: Protocol, candidate: TopologyVector, result: PruneResult) -> bool:

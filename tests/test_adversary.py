@@ -20,7 +20,6 @@ from radiolb import (
     analyze,
     build_c2,
     check_legality,
-    classify_event,
     completion_round,
     cross_check,
     derive_family,
@@ -148,7 +147,7 @@ def test_success_table_matches_family_selection(params22):
 
 
 @pytest.mark.parametrize("other", [C2Params(2, 3), C2Params(1, 2)])
-@pytest.mark.parametrize("op", ["event_sequence", "classify_event", "mark_components", "analyze"])
+@pytest.mark.parametrize("op", ["event_sequence", "mark_components", "analyze"])
 def test_family_parameters_other_than_the_protocols_are_refused(op, other, params22):
     # A protocol built for (2,2) used on another family is refused at entry,
     # naming both parameter sets, instead of failing deep inside a run (an
@@ -158,7 +157,6 @@ def test_family_parameters_other_than_the_protocols_are_refused(op, other, param
     net = build_c2(other, TopologyVector((1,) * other.m))
     call = {
         "event_sequence": lambda: event_sequence(p3, net, 3),
-        "classify_event": lambda: classify_event(p3, net, 1),
         "mark_components": lambda: mark_components(p3, net, 3),
         "analyze": lambda: analyze(p0, 3, other),
     }[op]

@@ -16,7 +16,6 @@ from radiolb import (
     Single,
     TopologyVector,
     build_c2,
-    classify_event,
     derive_family,
     enumerate_c2,
     event_sequence,
@@ -40,33 +39,34 @@ def pi3(p0_factory, params, *args):
 
 
 # ---------------------------------------------------------------------------
-# classify_event
+# event classification: the event at source round 3t (from the middle-layer
+# round 3t-2) is event_sequence(p3, net, t + 1)[t - 1]
 # ---------------------------------------------------------------------------
 
 def test_silent_classifies_silent_everywhere(params22):
     p3 = pi3(silent_l1, params22)
     net = build_c2(params22, TopologyVector((3, 1)))
     for t in (1, 2, 3):
-        assert classify_event(p3, net, t) == SILENT
+        assert event_sequence(p3, net, t + 1)[t - 1] == SILENT
 
 
 def test_pair_family_collides_at_first_active_round(params12):
     p3 = pi3(selfam_driven, params12, SetFamily(2, (0b11,)))
     net = build_c2(params12, TopologyVector((3,)))
-    assert classify_event(p3, net, 1) == SILENT  # re-enacts base round 0
-    assert classify_event(p3, net, 2) == COLLISION
+    assert event_sequence(p3, net, 2)[0] == SILENT  # re-enacts base round 0
+    assert event_sequence(p3, net, 3)[1] == COLLISION
 
 
 def test_singleton_family_yields_single_event(params12):
     p3 = pi3(selfam_driven, params12, SetFamily(2, (0b01,)))
     net = build_c2(params12, TopologyVector((1,)))
-    assert classify_event(p3, net, 2) == Single(0, 1)
+    assert event_sequence(p3, net, 3)[1] == Single(0, 1)
 
 
 def test_classify_requires_stage_three(params12):
     p1 = to_pi1(round_robin(params12), params12)
     with pytest.raises(StageMismatch):
-        classify_event(p1, build_c2(params12, TopologyVector((1,))), 1)
+        event_sequence(p1, build_c2(params12, TopologyVector((1,))), 2)
 
 
 @pytest.mark.parametrize("other", [C2Params(2, 3), C2Params(1, 2)])
@@ -86,8 +86,6 @@ def test_classify_and_prune_refuse_rounds_below_one(params12):
     # instead of answering for an empty run
     p3 = pi3(round_robin, params12)
     net = build_c2(params12, TopologyVector((1,)))
-    with pytest.raises(ValueError, match=r"^t must be >= 1$"):
-        classify_event(p3, net, 0)
     pr = run_prune(p3, 2)
     for call in (lambda: run_prune(p3, 0),
                  lambda: event_sequence(p3, net, -3),
