@@ -14,7 +14,6 @@ Canonical labeling (fixed for the whole family):
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from itertools import product
@@ -23,8 +22,8 @@ from typing import Iterator
 from .core import Network
 from .errors import EnumerationTooLarge, InvalidTau, UnknownLabel
 
-DEFAULT_ENUM_CAP = 10**6
-ENUM_CAP_ENV = "RADIOLB_ENUM_CAP"
+# Enumeration lists every network; fail fast beyond this many.
+ENUM_CAP = 10**6
 
 
 @dataclass(frozen=True, order=True)
@@ -85,8 +84,8 @@ def l1_index(label: int, params: C2Params) -> int:
 
 
 def _check_tau(tau: int, k: int) -> None:
-    if not 1 <= tau < (1 << k):
-        raise InvalidTau(f"tau={tau} outside [1, {1 << k})")
+    if tau < 1 or tau.bit_length() > k:
+        raise InvalidTau(f"tau={tau} outside [1, 2^k) for k={k}")
 
 
 def _check_taus(params: C2Params, taus: tuple[int, ...]) -> None:
@@ -105,7 +104,7 @@ def _component_edges(params: C2Params, i: int, tau: int) -> list[tuple[int, int]
 def build_c2(params: C2Params, tv: TopologyVector) -> Network:
     _check_taus(params, tv.taus)
     edges = [e for i, tau in enumerate(tv.taus) for e in _component_edges(params, i, tau)]
-    return Network(range(params.n), edges, c2_params=params, c2_taus=tv.taus)
+    return Network(range(params.n), edges, c2_params=params)
 
 
 def component_net(params: C2Params, i: int, tau: int) -> Network:
@@ -119,26 +118,15 @@ def component_net(params: C2Params, i: int, tau: int) -> Network:
     return Network({x for edge in edges for x in edge}, edges, c2_params=params)
 
 
-def enumeration_cap() -> int:
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
-
-
-def family_size(params: C2Params) -> int:
-    return ((1 << params.k) - 1) ** params.m
-
-
 def enumerate_c2(params: C2Params) -> Iterator[TopologyVector]:
-    """All topology vectors in lexicographic order, [1,..,1] first."""
-    total, limit = family_size(params), enumeration_cap()
-    if total > limit:
-        raise EnumerationTooLarge(f"family has {total} networks, cap is {limit}")
-    return map(TopologyVector, product(range(1, 1 << params.k), repeat=params.m))
+    """All topology vectors in lexicographic order, [1,..,1] first. The
+    family has (2^k-1)^m >= 2^(m(k-1)) networks, so a family that large is
+    refused before its size is computed."""
+    m, k = params.m, params.k
+    if m * (k - 1) >= ENUM_CAP.bit_length() or ((1 << k) - 1) ** m > ENUM_CAP:
+        raise EnumerationTooLarge(
+            f"family of (2^k-1)^m networks at m={m}, k={k} exceeds cap {ENUM_CAP}")
+    return map(TopologyVector, product(range(1, 1 << k), repeat=m))
 
 
 def encode_c2(params: C2Params, tv: TopologyVector) -> str:

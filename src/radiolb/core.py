@@ -120,7 +120,6 @@ class Network:
         *,
         require_connected: bool = True,
         c2_params=None,
-        c2_taus: tuple[int, ...] | None = None,
     ):
         self.labels = frozenset(int(x) for x in labels)
         if any(x < 0 for x in self.labels):
@@ -135,7 +134,6 @@ class Network:
             nbrs[b].add(a)
         self._nbrs = {x: frozenset(s) for x, s in nbrs.items()}
         self.c2_params = c2_params
-        self.c2_taus = c2_taus
         if require_connected and len(self.labels) > 1:
             if not self._is_connected():
                 raise ValueError("network is not connected")

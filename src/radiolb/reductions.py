@@ -61,7 +61,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from . import core
-from .c2 import C2Params, component_net, component_of, layer_of
+from .c2 import C2Params, component_net, component_of, l1_label, l2_label, layer_of
 from .core import (
     LISTEN,
     PAYLOAD,
@@ -375,10 +375,15 @@ class _Desc:
 
 
 def c2_taus(net: Network) -> tuple[int, ...]:
-    """The stage-3 source's private input, which only a c2 network has."""
-    if net.c2_taus is None:
+    """The stage-3 source's private input, read off the topology of a
+    network over the whole family's labels: tau_i has bit j set iff middle
+    node j of component i is adjacent to component i's leaf."""
+    params = net.c2_params
+    if params is None or net.labels != frozenset(range(params.n)):
         raise ProtocolBindingError("stage-3 protocols run only on c2 networks")
-    return net.c2_taus
+    return tuple(sum(1 << j for j in range(params.k)
+                     if l1_label(params, i, j) in net.neighbors(l2_label(params, i)))
+                 for i in range(params.m))
 
 
 def to_pi3(p2: Protocol) -> Protocol:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from radiolb import (
@@ -14,7 +16,7 @@ from radiolb import (
     enumerate_c2,
     layer_of,
 )
-from radiolb.c2 import l1_index, l1_label, l2_label
+from radiolb.c2 import ENUM_CAP, l1_index, l1_label, l2_label
 from radiolb.errors import EnumerationTooLarge, InvalidTau, UnknownLabel
 
 
@@ -51,11 +53,31 @@ def test_enumeration_counts_and_order():
     assert len(list(enumerate_c2(C2Params(2, 3)))) == 49
 
 
-def test_enumeration_cap(monkeypatch):
-    # the cap is checked at the call, before the first item is asked for
-    monkeypatch.setenv("RADIOLB_ENUM_CAP", "8")
-    with pytest.raises(EnumerationTooLarge):
-        enumerate_c2(C2Params(2, 2))
+def test_enumeration_cap():
+    # the cap is checked at the call, before the first item is asked for:
+    # 7^7 = 823,543 networks are admitted and 7^8 = 5,764,801 are not
+    assert ENUM_CAP == 10**6
+    enumerate_c2(C2Params(7, 3))
+    with pytest.raises(EnumerationTooLarge,
+                       match=r"^family of \(2\^k-1\)\^m networks at m=8, k=3 exceeds cap 1000000$"):
+        enumerate_c2(C2Params(8, 3))
+
+
+@pytest.mark.parametrize("m, k", [(2000, 2000), (6000, 3), (10**6, 10**6)])
+def test_a_huge_family_is_refused_before_its_size_is_computed(m, k):
+    start = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge, match=rf"^family of .* at m={m}, k={k} exceeds cap"):
+        enumerate_c2(C2Params(m, k))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_tau_is_checked_without_computing_2_to_the_k():
+    k = 20000
+    with pytest.raises(InvalidTau, match=rf"^tau=0 outside \[1, 2\^k\) for k={k}$"):
+        build_c2(C2Params(1, k), TopologyVector((0,)))
+    assert build_c2(C2Params(1, k), TopologyVector(((1 << k) - 1,))).n == k + 2
+    with pytest.raises(InvalidTau, match=r"^tau=4 outside \[1, 2\^k\) for k=2$"):
+        build_c2(C2Params(1, 2), TopologyVector((4,)))
 
 
 def test_layer_and_component_arithmetic():

@@ -260,7 +260,7 @@ def test_shared_source_columns_match_fresh_ones(make_prey):
         shared = transform_chain(make_prey(params), params, stage)
         for net in nets:
             fresh = transform_chain(make_prey(params), params, stage)
-            assert core.run(net, shared, 27) == core.run(net, fresh, 27), (stage, net.c2_taus)
+            assert core.run(net, shared, 27) == core.run(net, fresh, 27), (stage, reductions.c2_taus(net))
         runs = [core.Execution(net, shared, 36) for net in (nets[0], nets[-1])]
         records = [ex.nodes[1].record for ex in runs]
         assert records[0] is not records[1]
@@ -270,5 +270,5 @@ def test_shared_source_columns_match_fresh_ones(make_prey):
                 rounds.append(ex.step())
         for ex, rounds, record in zip(runs, played, records):
             fresh = transform_chain(make_prey(params), params, stage)
-            assert rounds == core.run(ex.net, fresh, 36).rounds, (stage, ex.net.c2_taus)
+            assert rounds == core.run(ex.net, fresh, 36).rounds, (stage, reductions.c2_taus(ex.net))
             assert len(record) <= 36 // 3 + 1

@@ -249,11 +249,16 @@ def test_bad_family_header_names_the_format(capsys, tmp_path):
     assert err == "error: family file line 1: expected 'n=<n>', got 'n=abc'\n"
 
 
-def test_bad_enumeration_cap_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("RADIOLB_ENUM_CAP", "abc")
-    code, out, err = invoke(capsys, "enumerate", "--m", "1", "--k", "1")
+@pytest.mark.parametrize("argv, message", [
+    (["adversary", "--protocol", "round-robin", "--budget", "2", "--m", "6000", "--k", "3"],
+     "family of (2^k-1)^m networks at m=6000, k=3 exceeds cap 1000000"),
+    (["simulate", "--net", "c2:m=1,k=20000,taus=0", "--protocol", "round-robin", "--rounds", "2"],
+     "tau=0 outside [1, 2^k) for k=20000"),
+])
+def test_huge_bounds_are_named_not_printed(argv, message, capsys):
+    code, out, err = invoke(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == "error: RADIOLB_ENUM_CAP must be an integer, got 'abc'\n"
+    assert err == f"error: {message}\n"
 
 
 def test_unknown_protocol_is_quoted_once(capsys):

@@ -93,7 +93,7 @@ def cases(draw):
 def test_generated_sender_blind_protocols_climb_the_ladder(case):
     params, taus, extra, period, actions, spontaneous, first = case
     c2_edges = build_c2(params, TopologyVector(taus)).edges()
-    net = Network(range(params.n), sorted(c2_edges) + extra, c2_params=params, c2_taus=taus)
+    net = Network(range(params.n), sorted(c2_edges) + extra, c2_params=params)
     p0 = table_prey(params, period, actions, spontaneous, first)
     stages = (1, 2) if extra else (1, 2, 3, 4)
     columns, violations = {}, {}

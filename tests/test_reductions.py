@@ -507,14 +507,35 @@ def test_middle_node_without_advice_refuses_to_act(params22):
 
 
 
+@pytest.mark.parametrize("m, k", [(2, 2), (2, 3)])
+def test_the_source_reads_each_leafs_adjacency_off_the_network(m, k):
+    params = C2Params(m, k)
+    for tv in enumerate_c2(params):
+        assert reductions.c2_taus(build_c2(params, tv)) == tv.taus
+
+
+def test_stages_three_and_four_need_only_the_topology(params22):
+    # a network rebuilt from the edges and the family alone: the stage-3
+    # source describes each component by what the network shows it
+    r = 6
+    for p0 in [*preys(params22), hash_prey(params22, 0), hash_prey(params22, 34)]:
+        p3 = transform_chain(p0, params22, 3)
+        for tv in enumerate_c2(params22):
+            net = build_c2(params22, tv)
+            rebuilt = Network(range(params22.n), net.edges(), c2_params=params22)
+            assert make_advice(p3, rebuilt, r) == make_advice(p3, net, r), (p0.name, tv)
+            for proto in (p3, to_pi4(p3)):
+                assert (trace_to_jsonl(run(rebuilt, proto, 3 * r))
+                        == trace_to_jsonl(run(net, proto, 3 * r))), (proto.name, tv)
+
+
 @pytest.mark.parametrize("stage", [2, 3, 4])
 def test_a_middle_node_off_the_source_is_refused_at_spawn(stage, params22):
     # Node 2 is reached only through its leaf, so it would hear phi where
     # the other middle nodes hear the source in every round 3s: stages 2-4
     # refuse it when the run spawns it. Stage 1 has no source column.
     c2net = build_c2(params22, TopologyVector((3, 1)))
-    net = Network(c2net.labels, sorted(set(c2net.edges()) - {(SOURCE, 2)}), c2_params=params22,
-                  c2_taus=(3, 1))
+    net = Network(c2net.labels, sorted(set(c2net.edges()) - {(SOURCE, 2)}), c2_params=params22)
     p0 = round_robin(params22)
     assert 2 not in run(net, transform_chain(p0, params22, 1), 12).informed
     with pytest.raises(ProtocolBindingError,
@@ -578,8 +599,7 @@ def test_middle_nodes_hear_what_the_network_delivers_at_every_stage(params22):
     # self: only the sub-round-0 observation is rebuilt by a middle node's
     # column.
     c2net = build_c2(params22, TopologyVector((1, 1)))
-    net = Network(c2net.labels, sorted(c2net.edges()) + [(1, 3)], c2_params=params22,
-                  c2_taus=(1, 1))
+    net = Network(c2net.labels, sorted(c2net.edges()) + [(1, 3)], c2_params=params22)
     p0 = round_robin(params22)
     for stage in (1, 2, 3, 4):
         ex = core.Execution(net, transform_chain(p0, params22, stage), 8)

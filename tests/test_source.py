@@ -2,7 +2,8 @@
 ``__init__`` (which imports in order to re-export) uses each name it
 imports, the engine loop is the one caller of ``step_round``, only
 ``core.run`` and ``reductions.middle_tx`` start a run, importing the
-package runs no loop, and no module holds a ``functools`` cache."""
+package runs no loop, no module holds a ``functools`` cache, and no
+module reads the environment."""
 
 from __future__ import annotations
 
@@ -85,22 +86,23 @@ def test_importing_computes_no_table(path):
 
 
 FUNCTOOLS_CACHES = {"cache", "cached_property", "lru_cache"}
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 
-def functools_caches(tree: ast.AST):
-    """Every ``functools`` cache named under ``tree``: imported from
-    ``functools``, or read as an attribute of the imported module."""
+def names_from(module: str, wanted: set[str], tree: ast.AST):
+    """Every name of ``wanted`` taken from ``module`` under ``tree``:
+    imported from it, or read as an attribute of the imported module."""
     modules = {alias.asname or alias.name for node in ast.walk(tree)
                if isinstance(node, ast.Import) for alias in node.names
-               if alias.name == "functools"}
+               if alias.name == module}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        if isinstance(node, ast.ImportFrom) and node.module == module:
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
             names = [node.attr]
         else:
             continue
-        yield from (f"line {node.lineno}: {name}" for name in names if name in FUNCTOOLS_CACHES)
+        yield from (f"line {node.lineno}: {name}" for name in names if name in wanted)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -108,7 +110,16 @@ def test_no_module_level_cache(path):
     # a cache keeps what it computed past the call, so it can hold a
     # protocol its caller dropped; and the benchmark's passes start from a
     # fresh import's state only because there is no cache to empty
-    assert list(functools_caches(ast.parse(path.read_text(encoding="utf-8")))) == []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert list(names_from("functools", FUNCTOOLS_CACHES, tree)) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    # every input is an argument or a file the caller names, so the same
+    # call gives the same bytes in any shell; os.path stays allowed
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert list(names_from("os", ENVIRONMENT_READERS, tree)) == []
 
 
 def test_modules_are_found():
