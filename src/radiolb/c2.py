@@ -138,7 +138,12 @@ def decode_c2(text: str) -> tuple[C2Params, TopologyVector]:
     match = re.fullmatch(r"c2:m=(\d+),k=(\d+),taus=(\d+(?:,\d+)*)", text.strip())
     if not match:
         raise ValueError(f"malformed c2 encoding: {text!r}")
-    taus = tuple(int(t) for t in match.group(3).split(","))
     params = C2Params(int(match.group(1)), int(match.group(2)))
+    fields = [t.lstrip("0") or "0" for t in match.group(3).split(",")]
+    for field in fields:
+        # d digits make tau >= 10^(d-1) >= 2^(3(d-1)): refused before int()
+        if 3 * (len(field) - 1) >= params.k:
+            raise InvalidTau(f"tau={field} outside [1, 2^k) for k={params.k}")
+    taus = tuple(map(int, fields))
     _check_taus(params, taus)
     return params, TopologyVector(taus)

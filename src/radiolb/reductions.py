@@ -12,17 +12,20 @@ layers:
            nodes run a stage-1 replica of the source on the echo stream.
   stage 3  the source (given the full topology as a privileged input) sends
            only component descriptors <i, tau>. Middle nodes rebuild each
-           echo by simulating the named component at stage 1 against the
-           source column they rebuilt so far.
+           reception of the source, sender included, by simulating the
+           named component at stage 1 against the source column they
+           rebuilt so far.
   stage 4  the source transmits the whole descriptor sequence once, as an
            advice string attached to the round-0 payload, then stays silent.
 
-For sources that ignore sender labels, middle- and leaf-layer
-transmissions are identical round for round across the stages; only the
-source's column of the trace changes. Stage 2 matches stage 1 on any
-network over the c2 labels whose source is adjacent to exactly the middle
-layer. Stages 3 and 4 match it on c2 networks: they rebuild echoes by
-simulating one component alone, which ignores any other edge.
+Middle- and leaf-layer transmissions are identical round for round across
+the stages; only the source's column of the trace changes. Stages 3 and 4
+match stage 1 on c2 networks for every source: they rebuild the source's
+receptions by simulating one component alone, which ignores any other
+edge. Stage 2 matches it on any network over the c2 labels whose source is
+adjacent to exactly the middle layer, but only for sources that ignore
+sender labels: an echo carries the message, not its sender, and the
+replica hears it from the source.
 
 Every staged node but a stage 2-4 source is one ``_Phased``: its base node
 process, fed one collapsed observation per round triple at its next act. A
@@ -48,9 +51,9 @@ round 3s, and nothing node-specific enters a column. ``to_pi2``,
 record, per run; ``pi4_with_advice``'s source sends its advice in round
 0 and is silent afterwards, so it has one record per advice and a whole
 prune shares one. And each stage-3 protocol keeps its simulations, shared
-by all its runs, at most one per (component, tau): each records the echo
-it rebuilt after every prefix of its script, so a prefix it has played is
-answered from the record and a longer one by stepping on.
+by all its runs, at most one per (component, tau): each records the
+reception it rebuilt after every prefix of its script, so a prefix it has
+played is answered from the record and a longer one by stepping on.
 """
 
 from __future__ import annotations
@@ -69,19 +72,12 @@ from .core import (
     SOURCE,
     BroadcastPayload,
     ComponentDesc,
-    Message,
     Network,
     Received,
     Transmit,
 )
 from .errors import ProtocolBindingError, StageMismatch
 from .protocols import Protocol, StageTag, spawn
-
-# A bare echo carries the message but not who originally sent it, so the
-# source replica sees receptions under this pseudo-label. Exact for every
-# source step that does not branch on sender identity.
-UNKNOWN_SENDER = -1
-
 
 @dataclass(frozen=True)
 class AdviceString:
@@ -262,21 +258,22 @@ def _staged(inner: Protocol, stage: StageTag, source, step, setup=None) -> Proto
 # ---------------------------------------------------------------------------
 
 class _Echo:
-    """Stage-2 column step: a replica of ``p1``'s source fed the echo
-    stream, and the stage-1 source's column as its node's own steps
-    rebuilt it: ``said[s]`` is its message in round 3s (None for silence),
-    round 0 included. The echo of round 3s tells what the source received
-    in round 3s-2; its other sub-rounds are necessarily phi (no neighbor of
-    the source transmits there). The replica is spawned at step 0, so a
-    node that reads only the record never builds one."""
+    """Stage-2 column step: a replica of ``p1``'s source, and the stage-1
+    source's column as its node's own steps rebuilt it: ``said[s]`` is its
+    message in round 3s (None for silence), round 0 included. The replica
+    hears the observation of round 3s it is handed as its reception of
+    round 3s-2: at stage 2 the echo as delivered, from the source; at
+    stages 3-4 the reception the named component rebuilds, sender
+    included. Its other sub-rounds are necessarily phi (no neighbor of the
+    source transmits there). The replica is spawned at step 0, so a node
+    that reads only the record never builds one."""
 
     def __init__(self, p1: Protocol, labels: tuple):
         self.p1, self.labels, self.said = p1, labels, []
 
     def __call__(self, s: int, obs):
         if s:
-            echoed = Received(UNKNOWN_SENDER, obs.message) if isinstance(obs, Received) else PHI
-            for seen in (PHI, echoed, PHI):
+            for seen in (PHI, obs, PHI):
                 self.source.observe(seen)
         else:
             self.source = spawn(self.p1, SOURCE, self.labels)
@@ -311,40 +308,42 @@ class _EchoSim:
     The run (read by ``middle_tx``) is stage 1 on the component alone,
     whose source is a ``_Source`` replaying a stage-1 source's column:
     ``first`` in round 0, then ``script[s]`` in round 3s. ``script`` holds
-    the entries played so far, and ``heard[s]`` the message of the lone
-    middle-layer transmitter in round 3s+1 (None when zero or several
-    transmit) for every s played. An illegal transmission inside the run
-    is suppressed, never raised: the script may be another network's, and
-    on the network it comes from the real run meets that act first. Under
-    a source silent in round 0 the staged run's middle nodes still heard
-    the staged payload, so only the suppression of acts illegal at stage 1
-    can differ.
+    the entries played so far, and ``heard[s]`` the source's reception in
+    round 3s+1 for every s played: the lone middle-layer transmitter's
+    message under its family label, or phi when zero or several transmit.
+    An illegal transmission inside the run is suppressed, never raised:
+    the script may be another network's, and on the network it comes from
+    the real run meets that act first. Under a source silent in round 0
+    the staged run's middle nodes still heard the staged payload, so only
+    the suppression of acts illegal at stage 1 can differ.
     """
 
     def __init__(self, p1: Protocol, params: C2Params, desc: ComponentDesc, first):
         script = self.script = []
         self.heard: list = []
+        self.mids = [l1_label(params, desc.component, j) for j in range(params.k)]
         source = _Source(first, lambda s, heard: script[s])
         proto = replace(p1, node=lambda own, nbrs: source if own == SOURCE else p1.node(own, nbrs))
         self.tx = middle_tx(component_net(params, desc.component, desc.tau), proto,
                             collect_violations=[])
 
-    def advance(self, said: list) -> Message | None:
-        """The lone transmitter's message in round 3*len(said)-2 under
-        script ``said``, which must agree with ``script`` on their common
+    def advance(self, said: list):
+        """The source's reception in round 3*len(said)-2 under script
+        ``said``, which must agree with ``script`` on their common
         prefix; plays on through that round if it is still ahead."""
         self.script.extend(said[len(self.script):])
         while len(self.heard) < len(said):
-            tx = [*next(self.tx).values()]
-            self.heard.append(tx[0] if len(tx) == 1 else None)
+            tx = [Received(self.mids[j], msg) for j, msg in next(self.tx).items()]
+            self.heard.append(tx[0] if len(tx) == 1 else PHI)
         return self.heard[len(said) - 1]
 
 
 class _Desc:
-    """Stage-3 column step: rebuilds the echo stream from the descriptor
-    stream. Descriptor s names the component whose lone member was heard in
-    round 3s-2; simulating that component against the source column the
-    node rebuilt so far, ``echo.said``, recovers the message itself.
+    """Stage-3 column step: rebuilds the stage-1 source's receptions from
+    the descriptor stream. Descriptor s names the component whose lone
+    member was heard in round 3s-2; simulating that component against the
+    source column the node rebuilt so far, ``echo.said``, recovers the
+    reception itself, sender and message, which is handed on unchanged.
 
     ``sims``, shared by all the stage-3 protocol's nodes, holds at most one
     ``_EchoSim`` per (component, tau). When its script and the column so
@@ -352,7 +351,7 @@ class _Desc:
     on from where it stopped; otherwise (another network's column diverged
     from it) the component is simulated again from round 0. A descriptor
     that does not yield exactly one transmitter cannot have come from a
-    matching execution (wrong-network advice); it maps to silence, keeping
+    matching execution (wrong-network advice); it maps to phi, keeping
     the run total and deterministic.
     """
 
@@ -369,9 +368,9 @@ class _Desc:
         sim = self.sims.pop(key, None)  # put back only once it has played on cleanly
         if sim is None or sim.script[:len(said)] != said[:len(sim.script)]:
             sim = _EchoSim(self.echo.p1, self.params, desc, said[0])
-        echo = sim.advance(said)
+        heard = sim.advance(said)
         self.sims[key] = sim
-        return PHI if echo is None else Received(SOURCE, echo)
+        return heard
 
 
 def c2_taus(net: Network) -> tuple[int, ...]:
@@ -390,7 +389,7 @@ def to_pi3(p2: Protocol) -> Protocol:
     """Restrict the source to component descriptors (stage 3). The returned
     protocol is unbound; ``setup`` returns the copy whose source describes
     each heard component by the network's topology, its private input. All
-    copies share the component simulations that rebuild the echoes."""
+    copies share the component simulations that rebuild the receptions."""
     require_stage(p2, StageTag.PI2, "to_pi3")
     params = p2.params
     desc = partial(_Desc, params, {})

@@ -57,9 +57,10 @@ def hash_prey(params: C2Params, seed: int, *, source_sees_senders: bool = False)
     from a hash of (seed, own label, round, observed message contents), so
     arbitrary transmission patterns arise: active sources, leaf chatter,
     simultaneous source+leaf rounds, non-payload traffic. Sender labels are
-    deliberately left out of the hash: a bare echo cannot preserve them, so
-    source behavior must not depend on them. ``source_sees_senders`` puts
-    them back into the source's hash (see ``sender_hash_prey``).
+    deliberately left out of the hash: a stage-2 echo cannot preserve them,
+    so a source that stage 2 must match stage 1 for may not depend on
+    them. ``source_sees_senders`` puts them back into the source's hash
+    (see ``sender_hash_prey``).
     """
     import hashlib
 
@@ -106,8 +107,9 @@ def hash_prey(params: C2Params, seed: int, *, source_sees_senders: bool = False)
 def sender_hash_prey(params: C2Params, seed: int) -> Protocol:
     """``hash_prey`` whose source also hashes the sender of each reception
     (``@<sender>``). Legal, and sender-sensitive in the source only: a
-    stage-2 echo cannot carry the sender, so the staged ladder is not exact
-    for it."""
+    stage-2 echo cannot carry the sender, so stage 2 is not exact for it;
+    stages 3 and 4 rebuild each reception from the named component, sender
+    included, and are."""
     return hash_prey(params, seed, source_sees_senders=True)
 
 

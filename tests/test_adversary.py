@@ -43,7 +43,6 @@ from radiolb.errors import (
     NonSourceRoundZero,
     StageMismatch,
     UniverseTooLarge,
-    WitnessInconsistency,
 )
 from radiolb.selfam import SELECTIVITY_UNIVERSE_CAP
 
@@ -52,6 +51,7 @@ from preys import (
     late_payload_prey,
     leaf_ack_prey,
     round_zero_middle_prey,
+    sender_answer_prey,
     sender_hash_prey,
 )
 
@@ -248,17 +248,22 @@ def test_sender_hash_prey_is_legal(params22):
         assert check_legality(p0, build_c2(params22, tv), 40) == []
 
 
-@pytest.mark.xfail(strict=True, raises=WitnessInconsistency,
-                   reason="stage 2 echoes drop the sender a sender-sensitive source reads")
-def test_sender_sensitive_source_gets_a_witness_or_none(params22):
-    # sender-hash-123 is legal on every (2,2) network, but its stage-2
-    # source replica hears echoes under UNKNOWN_SENDER, so at budgets 4
-    # and 5 the candidate witness (1,1) completes in a direct run and
-    # analyze raises. An exact ladder makes every budget verify.
-    p0 = sender_hash_prey(params22, 123)
-    for budget in range(1, 7):
-        w = find_witness(p0, budget, params22)
-        assert w is None or (w.verified and cross_check(p0, w, params22))
+@pytest.mark.parametrize("m,k,seed,budget", [
+    (2, 2, 7, 6), (2, 2, 7, 7), (2, 2, 67, 6), (2, 2, 123, 4), (2, 2, 123, 5),
+    (2, 3, None, 5), (3, 2, None, 5), (3, 2, None, 6),
+    (3, 2, 7, 7), (3, 2, 60, 7), (3, 2, 109, 5),
+])
+def test_sender_sensitive_source_gets_a_witness_or_none(m, k, seed, budget):
+    # sender-answer (seed None) and sender-hash-<seed> are legal sources
+    # that read sender labels. Stages 3-4 hand a middle node's source
+    # replica the reception its component simulation rebuilds, sender
+    # included, so the stage-4 runs of pruning and the Z-sweep are exact
+    # for them; at these points a replica that heard no sender made
+    # analyze raise WitnessInconsistency.
+    params = C2Params(m, k)
+    p0 = sender_answer_prey(params) if seed is None else sender_hash_prey(params, seed)
+    w = find_witness(p0, budget, params)
+    assert w is None or (w.verified and cross_check(p0, w, params))
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,23 @@ def test_selfam_greedy_refuses_a_table_above_the_pair_cap(capsys):
     assert err == "error: greedy over n=16, k=16 tests 4294836225 (f, Z) pairs, cap is 16777216\n"
 
 
+def test_a_tau_of_thousands_of_digits_is_read_without_converting_it(capsys):
+    # 5,000 digits exceed Python's integer-string limit: a tau that long is
+    # refused by its digit count, and leading zeros do not count
+    def simulate(taus):
+        start = time.perf_counter()
+        result = invoke(capsys, "simulate", "--net", f"c2:m=1,k=2,taus={taus}",
+                        "--protocol", "silent", "--rounds", "2")
+        assert time.perf_counter() - start < 1.0
+        return result
+
+    nines = "9" * 5000
+    assert simulate(nines) == (1, "", f"error: tau={nines} outside [1, 2^k) for k=2\n")
+    code, out, err = simulate("0" * 4999 + "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["net"] == "c2:m=1,k=2,taus=1"
+
+
 def test_unreadable_networks_exit_one(capsys, tmp_path):
     missing, empty = tmp_path / "nofile", tmp_path / "empty.txt"
     empty.write_text("\n  \n", encoding="utf-8")

@@ -65,6 +65,8 @@ from preys import (
     late_payload_prey,
     leaf_ack_prey,
     relay_prey,
+    sender_answer_prey,
+    sender_hash_prey,
     spontaneous_leaf_prey,
 )
 
@@ -123,22 +125,33 @@ def test_informed_round_window(m, k):
                 assert ds == 3 * d + 1  # deliveries ride the middle sub-round
 
 
-@pytest.mark.parametrize("m,k", [(1, 2), (2, 2)])
-def test_non_source_actions_identical_across_stages(m, k):
+def sender_preys(params: C2Params):
+    return [sender_answer_prey(params), sender_hash_prey(params, 123), sender_hash_prey(params, 7)]
+
+
+@pytest.mark.parametrize("m,k,make,stages", [
+    pytest.param(1, 2, preys, (2, 3, 4), id="1-2"),
+    pytest.param(2, 2, preys, (2, 3, 4), id="2-2"),
+    # sources that read sender labels: a stage-2 echo carries none, stages
+    # 3 and 4 rebuild it from the named component
+    *(pytest.param(m, k, sender_preys, (3, 4), id=f"senders-{m}-{k}")
+      for m, k in [(1, 2), (2, 2), (2, 3), (3, 2)]),
+])
+def test_non_source_actions_identical_across_stages(m, k, make, stages):
     params = C2Params(m, k)
     horizon = 3 * (params.m * params.k + 4)
-    for p0 in preys(params):
+    for p0 in make(params):
         staged = chain(p0, params)
         for tv in enumerate_c2(params):
             net = build_c2(params, tv)
-            traces = [run(net, ps, horizon) for ps in staged]
+            traces = [run(net, staged[stage - 1], horizon) for stage in (1, *stages)]
             for rnd in range(horizon):
                 reference = traces[0].rounds[rnd].actions
-                for other in traces[1:]:
+                for stage, other in zip(stages, traces[1:]):
                     acts = other.rounds[rnd].actions
                     for x in net.labels:
                         if x != SOURCE:
-                            assert acts[x] == reference[x], (p0.name, tv, rnd, x)
+                            assert acts[x] == reference[x], (p0.name, tv, stage, rnd, x)
 
 
 @pytest.mark.parametrize("m,k", [(1, 2), (2, 2)])
